@@ -12,14 +12,24 @@ import argparse
 import hashlib
 import sys
 from dataclasses import dataclass, fields, replace
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_text
 from .errors import AdinstallError, DataFormatError, PipelineMismatchError
-from .ingest import load_table, write_table
+from .ingest import (
+    load_table,
+    raise_first,
+    read_line_chunks,
+    row_chunks,
+    split_columns,
+    write_delimited,
+    write_table,
+)
 from .metrics import render_reports, report, report_record_lines
-from .network import NetworkConfig, load_params, save_params
+from .network import NetworkConfig, NetworkParams, load_params, save_params
 from .prep import PrepConfig, PrepPipeline, fit_pipeline, load_pipeline, save_pipeline
 from .schema import FeatureSchema, read_schema_file, write_schema_file
 from .synth import SynthSpec, generate
@@ -32,6 +42,8 @@ from .training import (
 )
 
 SUBMISSION_COLUMNS = ("row_id", "is_clicked", "is_installed")
+# probability written for a submission column the model has no head for
+PLACEHOLDER = 0.5
 
 
 @dataclass(frozen=True)
@@ -289,8 +301,8 @@ def cmd_train(cfg: RunConfig) -> int:
     full_path = _out(cfg, "model_full.bin")
     save_params(best_params, val_path, pipeline_hash=pipeline_hash)
     save_params(full_params, full_path, pipeline_hash=pipeline_hash)
-    _out(cfg, "history.tsv").write_text("\n".join(history.record_lines()) + "\n")
-    _out(cfg, "history.txt").write_text(history.render_table() + "\n")
+    write_text(_out(cfg, "history.tsv"), "\n".join(history.record_lines()) + "\n")
+    write_text(_out(cfg, "history.txt"), history.render_table() + "\n")
     print(f"retrained on 100% of rows for {history.best_epoch} epochs")
     print(f"model artifacts: {val_path} (validation-selected), {full_path} (full retrain)")
     return 0
@@ -316,22 +328,36 @@ def _schema_for_file(path: str | Path, schema: FeatureSchema) -> FeatureSchema:
     )
 
 
-def cmd_predict(cfg: RunConfig) -> int:
-    _require(cfg, "test_file")
+def _load_model(cfg: RunConfig, not_found_hint: str = "") -> tuple[PrepPipeline, NetworkParams]:
+    """The pipeline and model a scoring command uses.
+
+    Refuses a model whose stored pipeline hash is absent or differs from the
+    hash of the pipeline file, since its codes and scales would not match.
+    """
     pipeline_path = Path(cfg.pipeline_file) if cfg.pipeline_file else _out(cfg, "pipeline.json")
     model_path = Path(cfg.model_file) if cfg.model_file else _out(cfg, "model_full.bin")
     for p in (pipeline_path, model_path):
         if not p.exists():
-            raise UsageError(f"artifact {p} not found")
+            raise UsageError(f"artifact {p} not found{not_found_hint}")
     pipeline = load_pipeline(pipeline_path)
     params, expected_hash = load_params(model_path)
+    if expected_hash is None:
+        raise PipelineMismatchError(
+            f"model {model_path} stores no pipeline hash, so it cannot be checked "
+            f"against {pipeline_path}; retrain it with this pipeline"
+        )
     actual_hash = file_sha256(pipeline_path)
-    if expected_hash is not None and expected_hash != actual_hash:
+    if expected_hash != actual_hash:
         raise PipelineMismatchError(
             f"model {model_path} was trained with pipeline {expected_hash[:12]}, "
             f"but {pipeline_path} hashes to {actual_hash[:12]}"
         )
+    return pipeline, params
 
+
+def cmd_predict(cfg: RunConfig) -> int:
+    _require(cfg, "test_file")
+    pipeline, params = _load_model(cfg)
     schema = _schema_for_file(cfg.test_file, pipeline.schema)
     table = load_table(cfg.test_file, schema)
     dataset = pipeline.transform(table)
@@ -339,18 +365,18 @@ def cmd_predict(cfg: RunConfig) -> int:
 
     heads = params.config.heads
     out_path = _out(cfg, "submission.tsv")
-    lines = ["\t".join(SUBMISSION_COLUMNS)]
     filled = [h for h in SUBMISSION_COLUMNS[1:] if h not in heads]
-    col_of = {h: heads.index(h) for h in heads}
-    for i, row_id in enumerate(dataset.row_ids):
-        cells = [row_id]
+
+    def columns(rows: slice) -> list:
+        out: list = [dataset.row_ids[rows]]
         for head in SUBMISSION_COLUMNS[1:]:
-            if head in col_of:
-                cells.append(f"{probs[i, col_of[head]]:.9f}")
+            if head in heads:
+                out.append(map("{:.9f}".format, probs[rows, heads.index(head)].tolist()))
             else:
-                cells.append(f"{0.5:.9f}")
-        lines.append("\t".join(cells))
-    out_path.write_text("\n".join(lines) + "\n")
+                out.append(repeat(f"{PLACEHOLDER:.9f}"))
+        return out
+
+    write_delimited(out_path, SUBMISSION_COLUMNS, map(columns, row_chunks(dataset.n_rows)), "\t")
 
     print(f"submission written to {out_path} ({dataset.n_rows} rows)")
     if filled:
@@ -362,35 +388,50 @@ def cmd_predict(cfg: RunConfig) -> int:
     return 0
 
 
+def _parses_as_float(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _read_predictions(path: str | Path, n_expected: int) -> dict[str, np.ndarray]:
-    """Parse a submission-format file into per-head probability arrays."""
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise DataFormatError(f"{path}: empty predictions file")
-    header = lines[0].split("\t")
-    if header != list(SUBMISSION_COLUMNS):
-        raise DataFormatError(
-            f"{path}: expected header {list(SUBMISSION_COLUMNS)}, got {header}", line=1
-        )
-    cols: dict[str, list[float]] = {h: [] for h in SUBMISSION_COLUMNS[1:]}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        parts = line.split("\t")
-        if len(parts) != len(SUBMISSION_COLUMNS):
-            raise DataFormatError(
-                f"{path}: row has {len(parts)} fields, expected {len(SUBMISSION_COLUMNS)}",
-                line=lineno,
-            )
-        for head, cell in zip(SUBMISSION_COLUMNS[1:], parts[1:]):
-            try:
-                cols[head].append(float(cell))
-            except ValueError as exc:
+    """Parse a submission-format file into per-head probability arrays.
+
+    The file is read in chunks of lines and converted column by column; the
+    first faulty row is located, with its file line, only on an error.
+    """
+    heads = SUBMISSION_COLUMNS[1:]
+    parts: dict[str, list[np.ndarray]] = {h: [] for h in heads}
+    header_seen = False
+    for first_line, lines in read_line_chunks(path):
+        if not header_seen:
+            header_seen = True
+            header = lines[0].split("\t")
+            if header != list(SUBMISSION_COLUMNS):
                 raise DataFormatError(
-                    f"{path}: non-numeric probability {cell!r}", line=lineno, column=head
-                ) from exc
-    arrays = {h: np.asarray(v) for h, v in cols.items()}
-    n = len(arrays[SUBMISSION_COLUMNS[1]])
+                    f"{path}: expected header {list(SUBMISSION_COLUMNS)}, got {header}", line=1
+                )
+            first_line, lines = 2, lines[1:]
+        rows = list(filter(None, lines))
+        cols, bad_count = split_columns(rows, "\t", len(SUBMISSION_COLUMNS))
+        errors: list[tuple[int, int, str, str | None]] = []
+        if bad_count is not None:
+            n_fields = rows[bad_count].count("\t") + 1
+            errors.append((bad_count, -1, f"{path}: row has {n_fields} fields, "
+                           f"expected {len(SUBMISSION_COLUMNS)}", None))
+        for order, (head, cells) in enumerate(zip(heads, cols[1:])):
+            try:
+                parts[head].append(np.fromiter(map(float, cells), np.float64, len(cells)))
+            except ValueError:
+                bad = next(i for i, c in enumerate(cells) if not _parses_as_float(c))
+                errors.append((bad, order, f"{path}: non-numeric probability {cells[bad]!r}", head))
+        raise_first(errors, first_line, lines)
+    if not header_seen:
+        raise DataFormatError(f"{path}: empty predictions file")
+    arrays = {h: np.concatenate(v) if v else np.empty(0) for h, v in parts.items()}
+    n = len(arrays[heads[0]])
     if n != n_expected:
         raise DataFormatError(f"{path}: {n} prediction rows vs {n_expected} labeled rows")
     return arrays
@@ -413,18 +454,15 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         for head in table.label_names:
             if head not in preds:
                 continue
+            if np.all(preds[head] == PLACEHOLDER):
+                print(f"note: {head!r} holds only the {PLACEHOLDER} placeholder; not scored")
+                continue
             rep = report(table.label_column(head), preds[head], threshold=cfg.threshold)
             print(render_reports({"All rows": rep}, title=f"Output {head!r}"))
             print()
         return 0
 
-    pipeline_path = Path(cfg.pipeline_file) if cfg.pipeline_file else _out(cfg, "pipeline.json")
-    model_path = Path(cfg.model_file) if cfg.model_file else _out(cfg, "model_full.bin")
-    for p in (pipeline_path, model_path):
-        if not p.exists():
-            raise UsageError(f"artifact {p} not found; pass predictions_file or model_file")
-    pipeline = load_pipeline(pipeline_path)
-    params, _ = load_params(model_path)
+    pipeline, params = _load_model(cfg, "; pass predictions_file or model_file")
     schema = _schema_for_file(cfg.data_file, pipeline.schema)
     schema.require_labels()
     table = load_table(cfg.data_file, schema)
@@ -451,8 +489,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         print(render_reports(reports, title=f"Output {head!r}"))
         print()
         record_lines += [f"{head}\t{line}" for line in report_record_lines(reports)]
-    if cfg.out_dir != ".":
-        _out(cfg, "metrics.tsv").write_text("\n".join(record_lines) + "\n")
+    write_text(_out(cfg, "metrics.tsv"), "\n".join(record_lines) + "\n")
     return 0
 
 

@@ -22,6 +22,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import ArtifactError, PipelineMismatchError
 from .prep import PreparedDataset
 
@@ -442,7 +443,7 @@ def save_params(
         "blocks": [[name, list(arr.shape)] for name, arr in params.blocks.items()],
     }
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with Path(path).open("wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<I", MODEL_VERSION))
         fh.write(struct.pack("<Q", len(header_bytes)))

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import write_text
 from .errors import ArtifactError, DataFormatError, PipelineMismatchError
 from .ingest import RawTable, detect_constant_features, drop_columns
 from .schema import FeatureSchema
@@ -584,7 +585,7 @@ def save_pipeline(pipeline: PrepPipeline, path: str | Path) -> None:
         "train_rows": pipeline.train_rows,
         "train_missing": pipeline.train_missing,
     }
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+    write_text(path, json.dumps(payload, indent=1) + "\n")
 
 
 def load_pipeline(path: str | Path) -> PrepPipeline:

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .atomic import write_text
 from .errors import SchemaError
 
 ROLES = ("row_id", "ignore", "categorical", "binary", "numerical", "label")
@@ -158,4 +159,4 @@ def write_schema_file(schema: FeatureSchema, path: str | Path) -> None:
         f"has_header = {'true' if schema.has_header else 'false'}",
     ]
     lines += [f"{name} = {role}" for name, role in schema.columns]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
