@@ -22,7 +22,6 @@ from .network import (
     NetworkConfig,
     NetworkParams,
     backward,
-    bce_loss,
     embedding_width_rule,
     forward,
     init_network,
@@ -38,7 +37,6 @@ from .prep import (
     ScalerParams,
     Vocabulary,
     apply_minmax,
-    encode_categorical,
     fit_imputer,
     fit_minmax,
     fit_pipeline,

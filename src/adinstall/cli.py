@@ -1,7 +1,7 @@
 """Command-line entry points: prepare, train, predict, evaluate, synth.
 
 Every option lives in a flat key=value config file and can be overridden
-per key on the command line; every run is deterministic given its config
+per key on the command line; every run is reproducible given its config
 and seed. Error exits are nonzero and print one machine-parsable line:
 ``adinstall: error: <Kind>: <message>``.
 """
@@ -79,7 +79,6 @@ class RunConfig:
     learning_rate: float = 1e-3
     batch_size: int = 4096
     seed: int = 0
-    deterministic: bool = True
     # metrics
     threshold: float = 0.5
     split_eval: bool = False
@@ -163,11 +162,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return replace(cfg, **overrides)
 
 
-def _dtype_for(cfg: RunConfig) -> str:
-    # deterministic mode pins the 64-bit path; f32 is a speed opt-out
-    return "f64" if cfg.deterministic else cfg.precision
-
-
 def _require(cfg: RunConfig, *names: str) -> None:
     missing = [n for n in names if not getattr(cfg, n)]
     if missing:
@@ -199,7 +193,7 @@ def _network_config(pipeline: PrepPipeline, cfg: RunConfig) -> NetworkConfig:
         trunk_sharing=cfg.trunk_sharing,
         freeze_missing_row=cfg.freeze_missing_row,
         seed=cfg.seed,
-        dtype=_dtype_for(cfg),
+        dtype=cfg.precision,
     )
 
 
@@ -295,7 +289,9 @@ def cmd_train(cfg: RunConfig) -> int:
         for head, epoch in history.per_head_best.items():
             print(f"per-head best: {head} at epoch {epoch}")
 
-    full_params, _ = retrain_full(dataset, net_config, train_config, history.best_epoch)
+    full_params, full_history = retrain_full(dataset, net_config, train_config, history.best_epoch)
+    if full_history.diverged:
+        raise AdinstallError(f"full retrain diverged: {full_history.diagnostic}")
 
     val_path = _out(cfg, "model_val.bin")
     full_path = _out(cfg, "model_full.bin")
@@ -396,14 +392,17 @@ def _parses_as_float(cell: str) -> bool:
     return True
 
 
-def _read_predictions(path: str | Path, n_expected: int) -> dict[str, np.ndarray]:
+def _read_predictions(path: str | Path, row_ids: tuple[str, ...]) -> dict[str, np.ndarray]:
     """Parse a submission-format file into per-head probability arrays.
 
-    The file is read in chunks of lines and converted column by column; the
-    first faulty row is located, with its file line, only on an error.
+    The file's rows must carry ``row_ids``, the row ids of the labeled data
+    file, in the same order. It is read in chunks of lines and converted
+    column by column; the first faulty row is located, with its file line,
+    only on an error.
     """
     heads = SUBMISSION_COLUMNS[1:]
     parts: dict[str, list[np.ndarray]] = {h: [] for h in heads}
+    n_read = 0
     header_seen = False
     for first_line, lines in read_line_chunks(path):
         if not header_seen:
@@ -421,6 +420,13 @@ def _read_predictions(path: str | Path, n_expected: int) -> dict[str, np.ndarray
             n_fields = rows[bad_count].count("\t") + 1
             errors.append((bad_count, -1, f"{path}: row has {n_fields} fields, "
                            f"expected {len(SUBMISSION_COLUMNS)}", None))
+        ids = list(map(str.strip, cols[0]))
+        expected = list(row_ids[n_read : n_read + len(ids)])
+        n_read += len(ids)
+        if ids[: len(expected)] != expected:
+            bad = next(i for i, (got, want) in enumerate(zip(ids, expected)) if got != want)
+            errors.append((bad, -1, f"{path}: row_id {ids[bad]!r} where the data file has "
+                           f"{expected[bad]!r}", "row_id"))
         for order, (head, cells) in enumerate(zip(heads, cols[1:])):
             try:
                 parts[head].append(np.fromiter(map(float, cells), np.float64, len(cells)))
@@ -430,11 +436,9 @@ def _read_predictions(path: str | Path, n_expected: int) -> dict[str, np.ndarray
         raise_first(errors, first_line, lines)
     if not header_seen:
         raise DataFormatError(f"{path}: empty predictions file")
-    arrays = {h: np.concatenate(v) if v else np.empty(0) for h, v in parts.items()}
-    n = len(arrays[heads[0]])
-    if n != n_expected:
-        raise DataFormatError(f"{path}: {n} prediction rows vs {n_expected} labeled rows")
-    return arrays
+    if n_read != len(row_ids):
+        raise DataFormatError(f"{path}: {n_read} prediction rows vs {len(row_ids)} labeled rows")
+    return {h: np.concatenate(v) if v else np.empty(0) for h, v in parts.items()}
 
 
 def cmd_evaluate(cfg: RunConfig) -> int:
@@ -450,7 +454,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
             raise UsageError("predictions mode needs schema_file or a pipeline artifact")
         schema.require_labels()
         table = load_table(cfg.data_file, schema)
-        preds = _read_predictions(cfg.predictions_file, table.n_rows)
+        preds = _read_predictions(cfg.predictions_file, table.row_ids)
         for head in table.label_names:
             if head not in preds:
                 continue

@@ -136,6 +136,13 @@ def _convert(cells: list[str], parse, dtype) -> tuple[np.ndarray, np.ndarray, in
     return np.array(flags, dtype=bool), np.array(values, dtype=dtype), unparsable
 
 
+def _beyond_int64(cell: str) -> bool:
+    try:
+        return not -(1 << 63) <= int(cell) < 1 << 63
+    except ValueError:
+        return False
+
+
 def _bits(cells: list[str]) -> tuple[np.ndarray | None, int | None]:
     """Cells as int8 0/1, or None and the index of the first cell not 0 or 1 once stripped."""
     if not _BITS.issuperset(cells):
@@ -179,9 +186,10 @@ def load_table(path: str | Path, schema: FeatureSchema) -> RawTable:
     """Parse ``path`` according to ``schema``.
 
     Empty fields and non-parsable tokens in categorical/numerical columns
-    become missing (counted in ``parse_warnings``); binary or label cells
-    outside {0, 1} raise :class:`DataFormatError` with line context. Blank
-    lines are skipped. Row order is preserved.
+    become missing (counted in ``parse_warnings``); a categorical token
+    outside the int64 range, and binary or label cells outside {0, 1}, raise
+    :class:`DataFormatError` with line context. Blank lines are skipped. Row
+    order is preserved.
 
     The file is read in chunks of lines and each chunk is converted column
     by column. The first faulty row is located, with its file line, only
@@ -197,7 +205,6 @@ def load_table(path: str | Path, schema: FeatureSchema) -> RawTable:
     num_idx = [i for i, r in enumerate(roles) if r == "numerical"]
     lab_idx = [i for i, r in enumerate(roles) if r == "label"]
     id_idx = [i for i, r in enumerate(roles) if r == "row_id"]
-    # binary cells are checked before label cells, each in file order
     bit_checks = [(i, "binary") for i in bin_idx] + [(i, "label") for i in lab_idx]
 
     row_ids: list[str] = []
@@ -212,7 +219,6 @@ def load_table(path: str | Path, schema: FeatureSchema) -> RawTable:
         if count:
             warnings[column] = warnings.get(column, 0) + count
 
-    overflow: OverflowError | None = None
     header_pending = schema.has_header
     for first_line, lines in read_line_chunks(path):
         rows = list(filter(None, lines))
@@ -242,8 +248,26 @@ def load_table(path: str | Path, schema: FeatureSchema) -> RawTable:
             errors.append((bad_count, -1, f"row has {rows[bad_count].count(delim) + 1} fields, "
                            f"schema declares {n_cols}", None))
 
+        # within a row, categorical cells are checked first, then binary
+        # cells, then label cells, each in file order
+        tokens, missing = [], []
+        for order, i in enumerate(cat_idx):
+            try:
+                present, values, unparsable = _convert(cols[i], int, np.int64)
+            except OverflowError:
+                bad = next(k for k, cell in enumerate(cols[i]) if _beyond_int64(cell))
+                cell = cols[i][bad].strip()
+                errors.append((bad, order, f"categorical token {cell!r} does not fit in 64 bits",
+                               names[i]))
+                continue
+            col = np.zeros(n, dtype=np.int64)
+            col[present] = values
+            tokens.append(col)
+            missing.append(~present)
+            warn(names[i], unparsable)
+
         bits: dict[int, np.ndarray] = {}
-        for order, (i, kind) in enumerate(bit_checks):
+        for order, (i, kind) in enumerate(bit_checks, start=len(cat_idx)):
             values, bad = _bits(cols[i])
             if bad is None:
                 bits[i] = values
@@ -254,21 +278,6 @@ def load_table(path: str | Path, schema: FeatureSchema) -> RawTable:
 
         row_ids.extend(map(str.strip, cols[id_idx[0]]) if id_idx
                        else map(str, range(len(row_ids), len(row_ids) + n)))
-
-        tokens, missing = [], []
-        for i in cat_idx:
-            try:
-                present, values, unparsable = _convert(cols[i], int, np.int64)
-            except OverflowError as exc:
-                # a token beyond int64; the row-wise parser failed on it only
-                # after reading every row, so a later format error comes first
-                overflow = overflow or exc
-                present, values, unparsable = np.zeros(n, dtype=bool), [], 0
-            col = np.zeros(n, dtype=np.int64)
-            col[present] = values
-            tokens.append(col)
-            missing.append(~present)
-            warn(names[i], unparsable)
         cat_blocks.append(_block(tokens, n, np.int64))
         miss_blocks.append(_block(missing, n, bool))
 
@@ -287,8 +296,6 @@ def load_table(path: str | Path, schema: FeatureSchema) -> RawTable:
         bin_blocks.append(_block([bits[i] for i in bin_idx], n, np.int8))
         lab_blocks.append(_block([bits[i] for i in lab_idx], n, np.int8))
 
-    if overflow is not None:
-        raise overflow
     return RawTable(
         schema=schema,
         n_rows=len(row_ids),

@@ -194,11 +194,6 @@ class NetworkParams:
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
         return iter(self.blocks.items())
 
-    def assert_finite(self) -> None:
-        bad = [k for k, v in self.blocks.items() if not np.all(np.isfinite(v))]
-        if bad:
-            raise PipelineMismatchError(f"non-finite parameter blocks: {bad}")
-
 
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...], dtype) -> np.ndarray:
     fan_in, fan_out = shape[0], shape[1]
@@ -231,7 +226,7 @@ def init_network(config: NetworkConfig) -> NetworkParams:
 
 
 # ---------------------------------------------------------------------------
-# forward / loss / backward
+# forward / backward
 # ---------------------------------------------------------------------------
 
 
@@ -327,42 +322,17 @@ def forward(params: NetworkParams, batch: PreparedDataset) -> np.ndarray:
     return _forward_cached(params, batch).probs
 
 
-class BceLoss(NamedTuple):
-    per_head: np.ndarray  # mean binary cross-entropy per head
-    total: float  # loss-weight combination used for training
-
-
-def bce_loss(
-    probs: np.ndarray,
-    labels: np.ndarray,
-    eps: float = 1e-15,
-    weights: tuple[float, ...] | None = None,
-) -> BceLoss:
-    """Mean binary cross-entropy per head plus the weighted training total."""
-    p = np.clip(np.asarray(probs, dtype=np.float64), eps, 1.0 - eps)
-    y = np.asarray(labels, dtype=np.float64)
-    if p.ndim == 1:
-        p = p[:, None]
-    if y.ndim == 1:
-        y = y[:, None]
-    if p.shape != y.shape:
-        raise ValueError(f"probabilities {p.shape} and labels {y.shape} differ in shape")
-    per_head = -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p), axis=0)
-    if weights is None:
-        weights = tuple(1.0 / p.shape[1] for _ in range(p.shape[1]))
-    total = float(np.dot(per_head, np.asarray(weights)))
-    return BceLoss(per_head=per_head, total=total)
-
-
 def backward(
     params: NetworkParams,
     batch: PreparedDataset,
     labels: np.ndarray,
     frozen_heads: frozenset[str] | None = None,
 ) -> dict[str, np.ndarray]:
-    """Exact gradient of the weighted bce total with respect to every block.
+    """Exact gradient of the training loss with respect to every block.
 
-    At each sigmoid head the pre-activation gradient is
+    The loss is the weighted sum over heads of each head's mean binary
+    cross-entropy, ``sum_k w_k * mean_i -(y_ik log p_ik + (1 - y_ik) log(1 - p_ik))``
+    with ``w = config.loss_weights``. At each sigmoid head the pre-activation gradient is
     ``weight * (p - y) / n_rows``; embedding gradients are scatter-added per
     looked-up row, so rows absent from the batch get exactly zero. Heads in
     ``frozen_heads`` (union of the config's freeze set and the argument)

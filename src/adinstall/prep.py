@@ -44,18 +44,6 @@ class Vocabulary:
     def n(self) -> int:
         return len(self.tokens)
 
-    def code_of(self, token: int) -> int:
-        arr = np.asarray(self.tokens)
-        idx = int(np.searchsorted(arr, token))
-        if idx < len(arr) and arr[idx] == token:
-            return idx + 1
-        raise KeyError(f"token {token} not in vocabulary of {self.column!r}")
-
-    def decode(self, code: int) -> int:
-        if not 1 <= code <= self.n:
-            raise KeyError(f"code {code} outside 1..{self.n} for {self.column!r}")
-        return self.tokens[code - 1]
-
     def encode_array(self, raw: np.ndarray, missing: np.ndarray) -> tuple[np.ndarray, int]:
         """Vectorized total encoding; returns (codes, unseen_count)."""
         arr = np.asarray(self.tokens, dtype=np.int64)
@@ -67,22 +55,12 @@ class Vocabulary:
         return codes, unseen
 
 
-def fit_vocabulary(column: str, cells) -> Vocabulary:
-    """Map the distinct non-missing cells (None = missing) to codes 1..n."""
-    observed = [int(c) for c in cells if c is not None]
-    if not observed:
+def fit_vocabulary(column: str, raw: np.ndarray, missing: np.ndarray) -> Vocabulary:
+    """Map the distinct tokens of the non-missing cells to codes 1..n."""
+    observed = np.unique(raw[~missing])
+    if not observed.size:
         raise DataFormatError("all cells missing; column should have been dropped", column=column)
-    return Vocabulary(column=column, tokens=tuple(sorted(set(observed))))
-
-
-def encode_categorical(vocab: Vocabulary, cell: int | None) -> int:
-    """Total function: missing or unseen tokens map to the reserved code 0."""
-    if cell is None:
-        return 0
-    try:
-        return vocab.code_of(int(cell))
-    except KeyError:
-        return 0
+    return Vocabulary(column=column, tokens=tuple(observed.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -112,15 +90,8 @@ def fit_minmax(column: str, cells) -> ScalerParams:
     return ScalerParams(column=column, min_x=float(arr.min()), max_x=float(arr.max()))
 
 
-def apply_minmax(params: ScalerParams, x: float) -> float:
+def apply_minmax(params: ScalerParams, x: np.ndarray) -> np.ndarray:
     """(x - min) / (max - min), clipped to [0, 1]; degenerate columns map to 0."""
-    if params.max_x == params.min_x:
-        return 0.0
-    scaled = (x - params.min_x) / (params.max_x - params.min_x)
-    return float(min(1.0, max(0.0, scaled)))
-
-
-def apply_minmax_array(params: ScalerParams, x: np.ndarray) -> np.ndarray:
     if params.max_x == params.min_x:
         return np.zeros_like(x, dtype=np.float64)
     return np.clip((x - params.min_x) / (params.max_x - params.min_x), 0.0, 1.0)
@@ -453,7 +424,7 @@ class PrepPipeline:
             completed = impute(self.imputer, table.numeric)
             numeric = np.empty_like(completed)
             for j, name in enumerate(self.num_names):
-                numeric[:, j] = apply_minmax_array(self.scalers[name], completed[:, j])
+                numeric[:, j] = apply_minmax(self.scalers[name], completed[:, j])
         else:
             numeric = np.zeros((n, 0), dtype=np.float64)
 
@@ -496,11 +467,7 @@ def fit_pipeline(train: RawTable, config: PrepConfig | None = None) -> PrepPipel
     vocabs: dict[str, Vocabulary] = {}
     for name in table.cat_names:
         raw, miss = table.cat_column(name)
-        observed = sorted(set(int(t) for t in raw[~miss]))
-        if not observed:
-            raise DataFormatError("all cells missing; column should have been dropped",
-                                  column=name)
-        vocabs[name] = Vocabulary(column=name, tokens=tuple(observed))
+        vocabs[name] = fit_vocabulary(name, raw, miss)
         if int(miss.sum()):
             missing_counts[name] = int(miss.sum())
 

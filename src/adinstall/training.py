@@ -14,9 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFiniteGradientError, PipelineMismatchError
-from .network import NetworkConfig, NetworkParams, backward, bce_loss, forward, init_network
+from .metrics import log_loss
+from .network import NetworkConfig, NetworkParams, backward, forward, init_network
 from .optim import OptimizerState, optimizer_step
 from .prep import PreparedDataset
+
+# rows per forward pass when a whole dataset is scored
+EVAL_BATCH_SIZE = 65536
 
 
 @dataclass(frozen=True)
@@ -30,7 +34,6 @@ class TrainConfig:
     optimizer: str = "adam"
     learning_rate: float = 1e-3
     batch_size: int = 4096
-    eval_batch_size: int = 65536
 
     def __post_init__(self):
         if not 0.0 < self.val_fraction < 1.0:
@@ -81,7 +84,7 @@ class TrainingHistory:
         for rec in self.epochs:
             row = [str(rec.epoch)]
             row += [repr(rec.train_loss[h]) for h in self.heads]
-            row += [repr(rec.val_loss.get(h, float("nan"))) for h in self.heads]
+            row += [repr(rec.val_loss[h]) for h in self.heads]
             row.append("1" if rec.is_best else "0")
             lines.append("\t".join(row))
         return lines
@@ -95,9 +98,7 @@ class TrainingHistory:
         for rec in self.epochs:
             row = [str(rec.epoch)]
             row += [f"{rec.train_loss[h]:.6f}" for h in self.heads]
-            row += [
-                f"{rec.val_loss[h]:.6f}" if h in rec.val_loss else "-" for h in self.heads
-            ]
+            row += [f"{rec.val_loss[h]:.6f}" for h in self.heads]
             row.append("*" if rec.is_best else "")
             rows.append(row)
         widths = [max(len(h), *(len(r[i]) for r in rows)) if rows else len(h)
@@ -108,18 +109,22 @@ class TrainingHistory:
         return "\n".join(out)
 
 
-@dataclass
+@dataclass(eq=False)
 class EarlyStopMonitor:
     """Tracks the minimum of one monitored loss and the stop decision.
 
     ``observe`` returns True once ``patience`` consecutive epochs failed to
-    produce a new strict minimum.
+    produce a new strict minimum. In training a monitor also owns a set of
+    parameter blocks: ``best_blocks`` holds their values at the best epoch so
+    far, and ``stopped`` is set once its patience has run out.
     """
 
     patience: int
+    best_blocks: dict[str, np.ndarray] = field(default_factory=dict)
     best_loss: float = np.inf
     best_epoch: int = 0
     wait: int = 0
+    stopped: bool = False
 
     def observe(self, epoch: int, loss: float) -> bool:
         if loss < self.best_loss:
@@ -129,6 +134,14 @@ class EarlyStopMonitor:
             return False
         self.wait += 1
         return self.wait >= self.patience
+
+    def save(self, params: NetworkParams) -> None:
+        for name, saved in self.best_blocks.items():
+            saved[...] = params.blocks[name]
+
+    def restore(self, params: NetworkParams) -> None:
+        for name, saved in self.best_blocks.items():
+            params.blocks[name][...] = saved
 
 
 def split_train_val(
@@ -148,7 +161,9 @@ def split_train_val(
     return dataset.take(train_idx), dataset.take(val_idx)
 
 
-def predict(params: NetworkParams, dataset: PreparedDataset, batch_size: int = 65536) -> np.ndarray:
+def predict(
+    params: NetworkParams, dataset: PreparedDataset, batch_size: int = EVAL_BATCH_SIZE
+) -> np.ndarray:
     """Pure forward pass in row order; shape (n_rows, n_heads)."""
     chunks = []
     for start in range(0, dataset.n_rows, batch_size):
@@ -159,27 +174,91 @@ def predict(params: NetworkParams, dataset: PreparedDataset, batch_size: int = 6
 
 
 def _eval_losses(
-    params: NetworkParams, dataset: PreparedDataset, labels: np.ndarray, batch_size: int
+    params: NetworkParams, dataset: PreparedDataset, labels: np.ndarray
 ) -> dict[str, float]:
-    probs = predict(params, dataset, batch_size)
-    per_head = bce_loss(probs, labels).per_head
-    return {h: float(per_head[k]) for k, h in enumerate(params.config.heads)}
+    probs = predict(params, dataset)
+    return {h: log_loss(labels[:, k], probs[:, k]) for k, h in enumerate(params.config.heads)}
 
 
-def _run_epoch(
+def _fit(
     params: NetworkParams,
-    opt: OptimizerState,
-    dataset: PreparedDataset,
-    labels: np.ndarray,
-    batch_size: int,
-    rng: np.random.Generator,
-    frozen_heads: frozenset[str],
-) -> None:
-    order = rng.permutation(dataset.n_rows)
-    for start in range(0, dataset.n_rows, batch_size):
-        idx = order[start : start + batch_size]
-        grads = backward(params, dataset.take(idx), labels[idx], frozen_heads=frozen_heads)
-        optimizer_step(opt, params, grads)
+    train_ds: PreparedDataset,
+    train_config: TrainConfig,
+    max_epochs: int,
+    val_ds: PreparedDataset | None = None,
+    monitors: dict[str, EarlyStopMonitor] | None = None,
+) -> TrainingHistory:
+    """The epoch loop of both entry points; trains ``params`` in place.
+
+    Batch order is reshuffled every epoch from the training seed. Without
+    ``monitors`` the loop runs ``max_epochs`` epochs and evaluates nothing.
+    Otherwise, after each epoch the train and validation losses are
+    evaluated and each running monitor observes its head's validation loss:
+    a new minimum saves the monitor's blocks; a monitor whose patience runs
+    out restores them and freezes its head. The loop ends when every monitor
+    has stopped, at ``max_epochs``, or on a non-finite gradient or loss
+    (``history.diverged``); every monitor still running then restores its
+    blocks.
+    """
+    heads = params.config.heads
+    monitors = monitors or {}
+    y_train = train_ds.label_matrix(heads)
+    y_val = val_ds.label_matrix(heads) if monitors else None
+    opt = OptimizerState.create(train_config.optimizer, train_config.learning_rate, params)
+    shuffle_rng = np.random.default_rng(np.random.SeedSequence([train_config.seed, 1]))
+    history = TrainingHistory(heads=heads, monitor_head=train_config.monitor_head)
+
+    for epoch in range(1, max_epochs + 1):
+        t0 = time.perf_counter()
+        frozen = frozenset(h for h, m in monitors.items() if m.stopped)
+        order = shuffle_rng.permutation(train_ds.n_rows)
+        try:
+            for start in range(0, train_ds.n_rows, train_config.batch_size):
+                idx = order[start : start + train_config.batch_size]
+                grads = backward(params, train_ds.take(idx), y_train[idx], frozen_heads=frozen)
+                optimizer_step(opt, params, grads)
+        except NonFiniteGradientError as exc:
+            history.diverged = True
+            history.diagnostic = f"epoch {epoch}: {exc}"
+            break
+        history.stopped_epoch = epoch
+        if not monitors:
+            continue
+
+        train_loss = _eval_losses(params, train_ds, y_train)
+        val_loss = _eval_losses(params, val_ds, y_val)
+        record = EpochRecord(epoch, train_loss, val_loss, wall_time=time.perf_counter() - t0)
+        history.epochs.append(record)
+        if not np.all(np.isfinite([*train_loss.values(), *val_loss.values()])):
+            history.diverged = True
+            history.diagnostic = f"epoch {epoch}: non-finite loss {val_loss}"
+            break
+
+        for head, monitor in monitors.items():
+            if monitor.stopped:
+                continue
+            monitor.stopped = monitor.observe(epoch, val_loss[head])
+            if monitor.wait == 0:
+                monitor.save(params)
+                record.is_best = record.is_best or head == train_config.monitor_head
+            elif monitor.stopped:
+                monitor.restore(params)
+        if all(m.stopped for m in monitors.values()):
+            break
+
+    for monitor in monitors.values():
+        if not monitor.stopped:
+            monitor.restore(params)
+    return history
+
+
+def _owned_blocks(params: NetworkParams, head: str) -> list[str]:
+    """Blocks a per-head monitor owns: its output unit, and its trunk copy
+    when trunks are duplicated."""
+    prefixes = [f"head.{head}."]
+    if params.config.trunk_sharing == "duplicated":
+        prefixes.append(f"trunk.{head}.")
+    return [name for name in params.blocks if name.startswith(tuple(prefixes))]
 
 
 def train_with_early_stopping(
@@ -189,117 +268,39 @@ def train_with_early_stopping(
 ) -> tuple[NetworkParams, TrainingHistory]:
     """Split, train with early stopping, return the best-epoch snapshot.
 
-    Mini-batch order is reshuffled every epoch from the training seed. After
-    each epoch train and validation losses are evaluated on frozen
-    parameters; a new minimum of the monitored validation loss snapshots the
-    parameters. Training stops after ``patience`` consecutive epochs without
-    a new minimum, or at ``max_epochs``.
-
-    In ``per_head`` mode each head is monitored on its own validation loss;
-    a head whose patience runs out is frozen at its best snapshot (with
-    duplicated trunks this freezes its whole trunk copy) while the rest
-    keeps training, and the loop ends when every head has stopped.
+    In ``single`` mode one monitor watches the monitor head's validation loss
+    and owns every block, so the returned parameters are those of its best
+    epoch. In ``per_head`` mode each head has its own monitor, owning the
+    head's output unit (and its trunk copy when trunks are duplicated); a
+    head whose patience runs out is frozen at its best snapshot while the
+    rest keeps training, and the loop ends when every head has stopped.
 
     A non-finite loss or gradient aborts the loop; the best snapshot seen so
     far is returned with ``history.diverged`` set and a diagnostic message.
+    ``best_epoch`` stays 0 only when no epoch produced a finite monitored
+    loss; the caller then receives the initial weights.
     """
     if train_config.monitor_head not in net_config.heads:
         raise ValueError(
             f"monitor head {train_config.monitor_head!r} not among heads {net_config.heads}"
         )
     train_ds, val_ds = split_train_val(dataset, train_config.seed, train_config.val_fraction)
-    y_train = train_ds.label_matrix(net_config.heads)
-    y_val = val_ds.label_matrix(net_config.heads)
-
     params = init_network(net_config)
-    opt = OptimizerState.create(train_config.optimizer, train_config.learning_rate, params)
-    shuffle_rng = np.random.default_rng(np.random.SeedSequence([train_config.seed, 1]))
-
-    history = TrainingHistory(heads=net_config.heads, monitor_head=train_config.monitor_head)
     per_head = train_config.monitor_mode == "per_head"
-    heads = net_config.heads
-
-    best_snapshot = params.copy()
-    monitors = {h: EarlyStopMonitor(train_config.patience) for h in heads}
-    snapshots: dict[str, NetworkParams] = {h: params.copy() for h in heads}
-    stopped = {h: False for h in heads}
-
-    def frozen_set() -> frozenset[str]:
-        return frozenset(h for h, s in stopped.items() if s) if per_head else frozenset()
-
-    for epoch in range(1, train_config.max_epochs + 1):
-        t0 = time.perf_counter()
-        try:
-            _run_epoch(
-                params, opt, train_ds, y_train, train_config.batch_size, shuffle_rng,
-                frozen_set(),
-            )
-        except NonFiniteGradientError as exc:
-            history.diverged = True
-            history.diagnostic = f"epoch {epoch}: {exc}"
-            break
-
-        train_loss = _eval_losses(params, train_ds, y_train, train_config.eval_batch_size)
-        val_loss = _eval_losses(params, val_ds, y_val, train_config.eval_batch_size)
-        record = EpochRecord(
-            epoch=epoch,
-            train_loss=train_loss,
-            val_loss=val_loss,
-            wall_time=time.perf_counter() - t0,
-        )
-        history.epochs.append(record)
-        history.stopped_epoch = epoch
-
-        if not all(np.isfinite(v) for v in list(train_loss.values()) + list(val_loss.values())):
-            history.diverged = True
-            history.diagnostic = f"epoch {epoch}: non-finite loss {val_loss}"
-            break
-
-        if per_head:
-            for h in heads:
-                if stopped[h]:
-                    continue
-                stop = monitors[h].observe(epoch, val_loss[h])
-                if monitors[h].wait == 0:
-                    snapshots[h] = params.copy()
-                    record.is_best = record.is_best or h == train_config.monitor_head
-                elif stop:
-                    stopped[h] = True
-                    _restore_head_blocks(params, snapshots[h], h)
-            if all(stopped.values()):
-                break
-        else:
-            h = train_config.monitor_head
-            stop = monitors[h].observe(epoch, val_loss[h])
-            if monitors[h].wait == 0:
-                best_snapshot = params.copy()
-                record.is_best = True
-                history.best_epoch = epoch
-            elif stop:
-                break
-
+    owners = (
+        {h: _owned_blocks(params, h) for h in net_config.heads}
+        if per_head
+        else {train_config.monitor_head: list(params.blocks)}
+    )
+    monitors = {
+        h: EarlyStopMonitor(train_config.patience, {n: params.blocks[n].copy() for n in names})
+        for h, names in owners.items()
+    }
+    history = _fit(params, train_ds, train_config, train_config.max_epochs, val_ds, monitors)
+    history.best_epoch = monitors[train_config.monitor_head].best_epoch
     if per_head:
-        for h in heads:
-            if not stopped[h]:
-                _restore_head_blocks(params, snapshots[h], h)
-        history.per_head_best = {h: monitors[h].best_epoch for h in heads}
-        history.best_epoch = monitors[train_config.monitor_head].best_epoch
-        return params, history
-
-    # best_epoch stays 0 only when no epoch ever produced a finite monitored
-    # loss; the caller then receives the initial weights plus the diagnostic.
-    return best_snapshot, history
-
-
-def _restore_head_blocks(params: NetworkParams, snapshot: NetworkParams, head: str) -> None:
-    """Copy back the blocks owned by one head: its output unit, and its trunk
-    copy when trunks are duplicated."""
-    prefixes = [f"head.{head}."]
-    if params.config.trunk_sharing == "duplicated":
-        prefixes.append(f"trunk.{head}.")
-    for name in params.blocks:
-        if any(name.startswith(p) for p in prefixes):
-            params.blocks[name][...] = snapshot.blocks[name]
+        history.per_head_best = {h: m.best_epoch for h, m in monitors.items()}
+    return params, history
 
 
 def retrain_full(
@@ -310,36 +311,12 @@ def retrain_full(
 ) -> tuple[NetworkParams, TrainingHistory]:
     """Train on 100% of the labeled data for exactly ``epoch_count`` epochs.
 
-    No validation, no stopping; initialization and batch order are seeded
-    exactly like the early-stopped run.
+    No validation, no stopping, and no per-epoch evaluation: the history
+    holds no epoch records, only ``stopped_epoch`` and the divergence flag.
+    Initialization and batch order are seeded exactly like the early-stopped
+    run.
     """
     if epoch_count < 1:
         raise ValueError("epoch_count must be >= 1")
-    if dataset.labels is None:
-        raise PipelineMismatchError("cannot train on an unlabeled dataset")
-    y = dataset.label_matrix(net_config.heads)
-
     params = init_network(net_config)
-    opt = OptimizerState.create(train_config.optimizer, train_config.learning_rate, params)
-    shuffle_rng = np.random.default_rng(np.random.SeedSequence([train_config.seed, 1]))
-    history = TrainingHistory(heads=net_config.heads, monitor_head=train_config.monitor_head)
-
-    for epoch in range(1, epoch_count + 1):
-        t0 = time.perf_counter()
-        try:
-            _run_epoch(params, opt, dataset, y, train_config.batch_size, shuffle_rng, frozenset())
-        except NonFiniteGradientError as exc:
-            history.diverged = True
-            history.diagnostic = f"epoch {epoch}: {exc}"
-            break
-        train_loss = _eval_losses(params, dataset, y, train_config.eval_batch_size)
-        history.epochs.append(
-            EpochRecord(
-                epoch=epoch,
-                train_loss=train_loss,
-                val_loss={},
-                wall_time=time.perf_counter() - t0,
-            )
-        )
-        history.stopped_epoch = epoch
-    return params, history
+    return params, _fit(params, dataset, train_config, epoch_count)

@@ -1,7 +1,10 @@
 """The row-wise parser and writer that ``adinstall.ingest`` replaced, kept as test oracles.
 
 ``load_table`` and ``write_table`` below are the original per-row, per-cell
-implementations, unchanged. The differential tests assert that the columnar
+implementations. The one change to ``load_table`` is that a categorical token
+outside the int64 range is a format error of its row, with its line and
+column; the original raised a bare ``OverflowError`` after the last row. The
+differential tests assert that the columnar
 parser returns an identical ``RawTable``, or raises an identical error, and
 that the columnar writer writes identical bytes.
 """
@@ -87,12 +90,20 @@ def load_table(path: str | Path, schema: FeatureSchema) -> RawTable:
                     miss.append(True)
                     continue
                 try:
-                    tokens.append(int(cell))
-                    miss.append(False)
+                    token = int(cell)
                 except ValueError:
                     tokens.append(0)
                     miss.append(True)
                     warn(names[i])
+                    continue
+                if not -(1 << 63) <= token < 1 << 63:
+                    raise DataFormatError(
+                        f"categorical token {cell!r} does not fit in 64 bits",
+                        line=lineno,
+                        column=names[i],
+                    )
+                tokens.append(token)
+                miss.append(False)
             cat_rows.append(tokens)
             cat_miss_rows.append(miss)
 

@@ -18,7 +18,7 @@ import pytest
 
 from adinstall.cli import main
 from adinstall.metrics import confusion, log_loss, nir, report
-from adinstall.network import NetworkConfig, backward, bce_loss, init_network
+from adinstall.network import NetworkConfig, backward, init_network
 from adinstall.prep import fit_imputer, fit_pipeline, impute
 from adinstall.synth import SynthSpec, generate
 from adinstall.training import TrainConfig, predict, retrain_full, train_with_early_stopping
@@ -258,8 +258,8 @@ def test_criterion_6_early_stopping_protocol(synth_run):
 
     # restored parameters reproduce the recorded minimum monitored loss
     _, val = split_train_val(dataset, TRAIN_CONFIG.seed, TRAIN_CONFIG.val_fraction)
-    probs = predict(params, val, TRAIN_CONFIG.eval_batch_size)
-    re_evaluated = float(bce_loss(probs, val.label_matrix(("is_installed",))).per_head[0])
+    probs = predict(params, val)
+    re_evaluated = log_loss(val.label_matrix(("is_installed",))[:, 0], probs[:, 0])
     assert abs(re_evaluated - history.best_val_loss()) < 1e-12
 
     # training 5x past the best epoch overfits: lower train, higher val loss

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from adinstall import ingest
+from adinstall import cli, ingest, training
 from adinstall.cli import _read_predictions, main
 from adinstall.errors import DataFormatError
 from adinstall.network import load_params, save_params
@@ -100,16 +100,13 @@ def test_full_workflow(workspace, capsys, monkeypatch):
     records = (workspace / "metrics.tsv").read_text().splitlines()
     assert any(r.startswith("is_installed\tAll rows\tlog_loss\t") for r in records)
 
-    code, stdout, _ = run(
+    # the submission is for test.tsv: its first row id is not train.tsv's
+    code, _, err = run(
         capsys, "evaluate", "--data-file", f"{out}/train.tsv",
         "--predictions-file", f"{out}/submission.tsv", "--schema-file", f"{out}/schema.txt",
     )
-    assert code == 1  # 700 labeled rows vs 120 predictions
-    _, _, err = run(
-        capsys, "evaluate", "--data-file", f"{out}/train.tsv",
-        "--predictions-file", f"{out}/submission.tsv", "--schema-file", f"{out}/schema.txt",
-    )
-    assert "prediction rows" in err
+    assert code == 1
+    assert "row_id '701' where the data file has '1'" in err and "line=2" in err
 
 
 def test_predict_accepts_labeled_test_file(workspace, capsys):
@@ -222,6 +219,97 @@ def test_evaluate_skips_placeholder_column(workspace, capsys):
     assert "Output 'is_installed'" in stdout and "Log-Loss" in stdout
 
 
+def test_evaluate_rejects_shuffled_submission(workspace, tmp_path, capsys):
+    out = trained(workspace, capsys)
+    run(capsys, "predict", "--test-file", f"{out}/train.tsv", "--out-dir", out)
+    header, *rows = (workspace / "submission.tsv").read_text().splitlines(keepends=True)
+    shuffled = [rows[i] for i in np.random.default_rng(0).permutation(len(rows))]
+    first_bad = next(k for k, (a, b) in enumerate(zip(shuffled, rows)) if a != b)
+    preds = tmp_path / "shuffled.tsv"
+    preds.write_text(header + "".join(shuffled))
+    code, stdout, err = run(
+        capsys, "evaluate", "--data-file", f"{out}/train.tsv",
+        "--predictions-file", str(preds), "--schema-file", f"{out}/schema.txt",
+    )
+    assert code == 1 and "Log-Loss" not in stdout
+    got, want = shuffled[first_bad].split("\t")[0], rows[first_bad].split("\t")[0]
+    assert err.startswith("adinstall: error: DataFormatError:")
+    assert f"row_id {got!r} where the data file has {want!r}" in err
+    assert f"line={first_bad + 2}" in err
+
+
+def test_evaluate_counts_rows_of_a_short_submission(workspace, tmp_path, capsys):
+    out = trained(workspace, capsys)
+    run(capsys, "predict", "--test-file", f"{out}/train.tsv", "--out-dir", out)
+    lines = (workspace / "submission.tsv").read_text().splitlines(keepends=True)
+    preds = tmp_path / "short.tsv"
+    preds.write_text("".join(lines[:-1]))
+    code, _, err = run(
+        capsys, "evaluate", "--data-file", f"{out}/train.tsv",
+        "--predictions-file", str(preds), "--schema-file", f"{out}/schema.txt",
+    )
+    assert code == 1
+    assert "699 prediction rows vs 700 labeled rows" in err
+
+
+def test_train_fails_when_the_retrain_diverges(workspace, capsys, monkeypatch):
+    out = str(workspace)
+    run(capsys, "prepare", "--schema-file", f"{out}/schema.txt",
+        "--train-file", f"{out}/train.tsv", "--out-dir", out)
+    real_retrain = cli.retrain_full
+
+    def retrain_with_poisoned_gradients(*args, **kwargs):
+        real_backward = training.backward
+
+        def poisoned(*a, **k):
+            return {name: np.full_like(g, np.nan) for name, g in real_backward(*a, **k).items()}
+
+        monkeypatch.setattr(training, "backward", poisoned)
+        return real_retrain(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "retrain_full", retrain_with_poisoned_gradients)
+    code, stdout, err = run(capsys, "train", "--train-file", f"{out}/train.tsv",
+                            "--out-dir", out, *TINY_MODEL)
+    assert code == 1
+    assert "early stopping: best epoch" in stdout  # the early-stopped run was fine
+    assert "retrained on 100%" not in stdout
+    assert "full retrain diverged: epoch 1: non-finite gradients" in err
+    for name in ("model_val.bin", "model_full.bin", "history.tsv"):
+        assert not (workspace / name).exists(), name
+
+
+def test_f32_precision_through_the_cli(workspace, capsys):
+    out = trained(workspace, capsys, "--precision", "f32")
+    params, _ = load_params(workspace / "model_full.bin")
+    assert params.config.dtype == "f32"
+    assert all(block.dtype == np.float32 for block in params.blocks.values())
+    code, _, err = run(capsys, "predict", "--test-file", f"{out}/test.tsv", "--out-dir", out)
+    assert code == 0, err
+    rows = (workspace / "submission.tsv").read_text().splitlines()[1:]
+    probs = np.array([float(r.split("\t")[2]) for r in rows])
+    assert len(probs) == 120 and np.all((probs > 0.0) & (probs < 1.0))
+    code, stdout, err = run(capsys, "evaluate", "--data-file", f"{out}/train.tsv",
+                            "--out-dir", out)
+    assert code == 0, err
+    assert "Log-Loss" in stdout
+
+
+def test_prepare_reports_a_token_beyond_int64(workspace, capsys):
+    out = str(workspace)
+    lines = (workspace / "train.tsv").read_text().splitlines()
+    fields = lines[5].split("\t")
+    fields[2] = "18446744073709551615"  # f_2 is categorical
+    lines[5] = "\t".join(fields)
+    (workspace / "train.tsv").write_text("\n".join(lines) + "\n")
+    code, _, err = run(capsys, "prepare", "--schema-file", f"{out}/schema.txt",
+                       "--train-file", f"{out}/train.tsv", "--out-dir", out)
+    assert code == 1
+    assert err.startswith("adinstall: error: DataFormatError: categorical token "
+                          "'18446744073709551615' does not fit in 64 bits")
+    assert "column='f_2'" in err and "line=6" in err
+    assert not (workspace / "pipeline.json").exists()
+
+
 def test_config_file_with_overrides(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("rows = 600\ntest_rows = 80\nseed = 4\ncat_vocabs = 5,9\nn_binary = 2\nn_numerical = 4\n")
@@ -235,10 +323,12 @@ def test_config_file_with_overrides(tmp_path, capsys):
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
     config = tmp_path / "run.cfg"
-    config.write_text("wibble = 3\n")
-    code, _, err = run(capsys, "synth", "--config", str(config), "--out-dir", str(tmp_path))
-    assert code == 1
-    assert "unknown config key" in err
+    # deterministic only ever overrode precision, and is gone
+    for line in ("wibble = 3", "deterministic = true"):
+        config.write_text(line + "\n")
+        code, _, err = run(capsys, "synth", "--config", str(config), "--out-dir", str(tmp_path))
+        assert code == 1
+        assert f"unknown config key {line.split()[0]!r}" in err
 
 
 def test_bad_predictions_cell_names_line(workspace, tmp_path, capsys):
@@ -264,7 +354,7 @@ def test_read_predictions_across_chunks(tmp_path, monkeypatch):
     path = tmp_path / "preds.tsv"
     path.write_text(PREDICTIONS_HEADER + "a\t0.5\t0.25\n\nb\t0.5\t1e-3\r\nc\t0.5\t 1 \n")
     monkeypatch.setattr(ingest, "CHUNK_CHARS", 8)
-    preds = _read_predictions(path, 3)
+    preds = _read_predictions(path, ("a", "b", "c"))
     assert preds["is_clicked"].tolist() == [0.5, 0.5, 0.5]
     assert preds["is_installed"].tolist() == [0.25, 1e-3, 1.0]
 
@@ -273,6 +363,8 @@ def test_read_predictions_across_chunks(tmp_path, monkeypatch):
     (["1\t0.5\t0.2", "", "2\t0.5", "3\tx\t0.1"], 4, None, "row has 2 fields, expected 3"),
     (["1\t0.5\t0.2", "2\tx\ty"], 3, "is_clicked", "non-numeric probability 'x'"),
     (["1\t0.5\t", "2\tx\t0.1"], 2, "is_installed", "non-numeric probability ''"),
+    (["1\t0.5\t0.2", "", "3\t0.5\t0.2"], 4, "row_id", "row_id '3' where the data file has '2'"),
+    (["1\t0.5\t0.2", "3\tx\t0.1"], 3, "row_id", "row_id '3' where the data file has '2'"),
 ])
 def test_read_predictions_names_first_faulty_line(tmp_path, monkeypatch, body, line, column,
                                                   message):
@@ -280,7 +372,7 @@ def test_read_predictions_names_first_faulty_line(tmp_path, monkeypatch, body, l
     path.write_text(PREDICTIONS_HEADER + "\n".join(body) + "\n")
     monkeypatch.setattr(ingest, "CHUNK_CHARS", 8)
     with pytest.raises(DataFormatError, match=message) as exc:
-        _read_predictions(path, len(body))
+        _read_predictions(path, ("1", "2", "3"))
     assert (exc.value.line, exc.value.column) == (line, column)
 
 
@@ -288,10 +380,10 @@ def test_read_predictions_rejects_empty_file_and_bad_header(tmp_path):
     path = tmp_path / "preds.tsv"
     path.write_text("")
     with pytest.raises(DataFormatError, match="empty predictions file"):
-        _read_predictions(path, 0)
+        _read_predictions(path, ())
     path.write_text("row_id\tis_installed\n1\t0.5\n")
     with pytest.raises(DataFormatError, match="expected header") as exc:
-        _read_predictions(path, 1)
+        _read_predictions(path, ("1",))
     assert exc.value.line == 1
 
 

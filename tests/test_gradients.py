@@ -8,7 +8,7 @@ import pytest
 from adinstall.network import NetworkConfig, backward, init_network
 
 from conftest import make_batch
-from gradcheck import max_relative_error, prepare_check_point, small_config
+from gradcheck import max_relative_error, prepare_check_point, small_config, weighted_bce
 
 
 @pytest.mark.parametrize(
@@ -88,15 +88,15 @@ def test_frozen_heads_argument(rng):
 
 
 def test_single_sgd_step_does_not_increase_loss(rng):
-    from adinstall.network import bce_loss, forward
+    from adinstall.network import forward
     from adinstall.optim import OptimizerState, optimizer_step
 
     cfg = small_config(seed=5)
     params = init_network(cfg)
     batch = make_batch(rng, cfg, 32)
-    before = bce_loss(forward(params, batch), batch.labels, weights=cfg.loss_weights).total
+    before = weighted_bce(forward(params, batch), batch.labels, cfg.loss_weights)
     grads = backward(params, batch, batch.labels)
     opt = OptimizerState.create("sgd", 1e-3, params)
     optimizer_step(opt, params, grads)
-    after = bce_loss(forward(params, batch), batch.labels, weights=cfg.loss_weights).total
+    after = weighted_bce(forward(params, batch), batch.labels, cfg.loss_weights)
     assert after <= before

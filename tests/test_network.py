@@ -8,7 +8,6 @@ import pytest
 from adinstall.errors import ArtifactError, PipelineMismatchError
 from adinstall.network import (
     NetworkConfig,
-    bce_loss,
     block_specs,
     embedding_width_rule,
     forward,
@@ -19,6 +18,7 @@ from adinstall.network import (
 from adinstall.prep import PreparedDataset
 
 from conftest import make_batch
+from gradcheck import weighted_bce
 
 
 def test_embedding_width_rule():
@@ -216,28 +216,29 @@ def test_one_head_two_head_consistency(rng):
 
 
 # ---------------------------------------------------------------------------
-# loss
+# loss: the weighted BCE that backward differentiates (the gradient oracle)
 # ---------------------------------------------------------------------------
 
 
 def test_bce_examples():
-    assert bce_loss(np.full(4, 0.5), np.array([0, 0, 1, 1])).total == pytest.approx(
+    assert weighted_bce(np.full(4, 0.5), np.array([0, 0, 1, 1]), (1.0,)) == pytest.approx(
         math.log(2.0), abs=1e-12
     )
-    assert bce_loss(np.array([0.9, 0.1]), np.array([1, 0])).total == pytest.approx(
+    assert weighted_bce(np.array([0.9, 0.1]), np.array([1, 0]), (1.0,)) == pytest.approx(
         -math.log(0.9), abs=1e-12
     )
-    clipped = bce_loss(np.array([1.0]), np.array([1]))
-    assert 0.0 <= clipped.total < 1e-12
+    clipped = weighted_bce(np.array([1.0]), np.array([1]), (1.0,))
+    assert 0.0 <= clipped < 1e-12
 
 
 def test_bce_two_head_weighting():
     probs = np.array([[0.9, 0.5], [0.8, 0.5]])
     labels = np.array([[1.0, 1.0], [1.0, 1.0]])
-    out = bce_loss(probs, labels)
-    assert out.total == pytest.approx(0.5 * out.per_head[0] + 0.5 * out.per_head[1], abs=1e-15)
-    custom = bce_loss(probs, labels, weights=(1.0, 0.0))
-    assert custom.total == pytest.approx(out.per_head[0], abs=1e-15)
+    per_head = [-(math.log(0.9) + math.log(0.8)) / 2, math.log(2.0)]
+    total = weighted_bce(probs, labels, (0.5, 0.5))
+    assert total == pytest.approx(0.5 * per_head[0] + 0.5 * per_head[1], abs=1e-15)
+    custom = weighted_bce(probs, labels, (1.0, 0.0))
+    assert custom == pytest.approx(per_head[0], abs=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,6 @@ from adinstall.prep import (
     PrepConfig,
     Vocabulary,
     apply_minmax,
-    apply_minmax_array,
-    encode_categorical,
     fit_minmax,
     fit_pipeline,
     fit_vocabulary,
@@ -26,39 +24,51 @@ from adinstall.schema import FeatureSchema
 # ---------------------------------------------------------------------------
 
 
+def vocab(column: str, cells: list) -> Vocabulary:
+    """``fit_vocabulary`` over a list of cells, None marking a missing cell."""
+    raw = np.array([0 if c is None else c for c in cells], dtype=np.int64)
+    return fit_vocabulary(column, raw, np.array([c is None for c in cells], dtype=bool))
+
+
+def codes_of(v: Vocabulary, cells: list) -> list[int]:
+    raw = np.array([0 if c is None else c for c in cells], dtype=np.int64)
+    return v.encode_array(raw, np.array([c is None for c in cells], dtype=bool))[0].tolist()
+
+
 def test_fit_vocabulary_ascending_order():
-    v = fit_vocabulary("c", [12, 7, 7, 30])
+    v = vocab("c", [12, 7, 7, 30])
     assert v.tokens == (7, 12, 30)
     assert v.n == 3
-    assert v.code_of(7) == 1 and v.code_of(12) == 2 and v.code_of(30) == 3
+    assert codes_of(v, [7, 12, 30]) == [1, 2, 3]
 
 
 def test_fit_vocabulary_singleton_and_missing():
-    assert fit_vocabulary("c", [5]).tokens == (5,)
-    v = fit_vocabulary("c", [9, None, 9])
+    assert vocab("c", [5]).tokens == (5,)
+    v = vocab("c", [9, None, 9])
     assert v.tokens == (9,) and v.n == 1
 
 
 def test_fit_vocabulary_all_missing_errors():
     with pytest.raises(DataFormatError, match="all cells missing"):
-        fit_vocabulary("c", [None, None])
+        vocab("c", [None, None])
 
 
 def test_encode_categorical_total():
-    v = fit_vocabulary("c", [7, 12])
-    assert encode_categorical(v, 12) == 2
-    assert encode_categorical(v, None) == 0
-    assert encode_categorical(v, 99) == 0
+    v = vocab("c", [7, 12])
+    assert codes_of(v, [12]) == [2]
+    assert codes_of(v, [None]) == [0]
+    assert codes_of(v, [99]) == [0]
 
 
 @given(st.lists(st.integers(-(10**9), 10**9), min_size=1, max_size=200))
 def test_vocabulary_round_trip(tokens):
-    v = fit_vocabulary("c", tokens)
-    for t in set(tokens):
-        assert v.decode(v.code_of(t)) == t
-    assert v.tokens == tuple(sorted(set(tokens)))
+    v = vocab("c", tokens)
+    distinct = sorted(set(tokens))
+    codes = codes_of(v, distinct)
+    assert [v.tokens[code - 1] for code in codes] == distinct
+    assert v.tokens == tuple(distinct)
     # codes are exactly 1..n
-    assert sorted(v.code_of(t) for t in set(tokens)) == list(range(1, v.n + 1))
+    assert sorted(codes) == list(range(1, v.n + 1))
 
 
 def test_encode_array_counts_unseen():
@@ -91,13 +101,17 @@ def test_fit_minmax_rejects_empty_and_missing():
         fit_minmax("x", [1.0, np.nan])
 
 
+def scaled(p, x: float) -> float:
+    return float(apply_minmax(p, np.array([x]))[0])
+
+
 def test_apply_minmax_examples():
     p = fit_minmax("x", [2, 4, 6])
-    assert apply_minmax(p, 4.0) == 0.5
-    assert apply_minmax(p, 8.0) == 1.0  # clipped above the train range
-    assert apply_minmax(p, 0.0) == 0.0  # clipped below
+    assert scaled(p, 4.0) == 0.5
+    assert scaled(p, 8.0) == 1.0  # clipped above the train range
+    assert scaled(p, 0.0) == 0.0  # clipped below
     degenerate = fit_minmax("x", [5, 5])
-    assert apply_minmax(degenerate, 5.0) == 0.0
+    assert scaled(degenerate, 5.0) == 0.0
 
 
 @given(
@@ -111,18 +125,19 @@ def test_apply_minmax_examples():
 )
 def test_minmax_bounds_and_monotonicity(cells, x, y):
     p = fit_minmax("x", cells)
-    assert apply_minmax(p, min(cells)) == 0.0
-    assert apply_minmax(p, max(cells)) == 1.0
+    assert scaled(p, min(cells)) == 0.0
+    assert scaled(p, max(cells)) == 1.0
     lo, hi = sorted((x, y))
-    assert apply_minmax(p, lo) <= apply_minmax(p, hi)
-    assert 0.0 <= apply_minmax(p, x) <= 1.0
+    assert scaled(p, lo) <= scaled(p, hi)
+    assert 0.0 <= scaled(p, x) <= 1.0
 
 
 def test_apply_minmax_array_matches_scalar(rng):
     p = fit_minmax("x", [0.0, 10.0])
     xs = rng.uniform(-5, 15, 100)
-    vec = apply_minmax_array(p, xs)
-    assert vec.tolist() == [apply_minmax(p, float(v)) for v in xs]
+    vec = apply_minmax(p, xs)
+    # the scalar formula, one cell at a time
+    assert vec.tolist() == [min(1.0, max(0.0, (float(v) - 0.0) / (10.0 - 0.0))) for v in xs]
 
 
 # ---------------------------------------------------------------------------
