@@ -137,8 +137,9 @@ def _convert(cells: list[str], parse, dtype) -> tuple[np.ndarray, np.ndarray, in
 
 
 def _beyond_int64(cell: str) -> bool:
+    # strip as the slow path of _convert does: int() rejects "\x1c", which str.strip drops
     try:
-        return not -(1 << 63) <= int(cell) < 1 << 63
+        return not -(1 << 63) <= int(cell.strip()) < 1 << 63
     except ValueError:
         return False
 

@@ -278,20 +278,38 @@ def _validate_batch(config: NetworkConfig, batch: PreparedDataset) -> None:
             )
 
 
-def _forward_cached(params: NetworkParams, batch: PreparedDataset) -> _ForwardCache:
+def _trunk_input(
+    params: NetworkParams, batch: PreparedDataset
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(concat, bin_pre, num_pre)``: every embedding is gathered and both
+    branch ReLUs are written straight into one (n_rows, concat_width) buffer."""
     config = params.config
     _validate_batch(config, batch)
     b = params.blocks
     dtype = config.np_dtype
 
-    parts: list[np.ndarray] = []
-    for j, col in enumerate(config.cat_columns):
-        parts.append(b[f"emb.{col}"][batch.cat_codes[:, j]])
+    concat = np.empty((batch.n_rows, config.concat_width), dtype)
+    offset = 0
+    for j, (col, m) in enumerate(zip(config.cat_columns, config.embedding_widths)):
+        np.take(b[f"emb.{col}"], batch.cat_codes[:, j], axis=0, out=concat[:, offset : offset + m])
+        offset += m
     bin_pre = batch.binary.astype(dtype) @ b["bin.w"] + b["bin.b"]
+    np.maximum(bin_pre, 0.0, out=concat[:, offset : offset + config.binary_width])
+    offset += config.binary_width
     num_pre = batch.numeric.astype(dtype) @ b["num.w"] + b["num.b"]
-    parts.append(_relu(bin_pre))
-    parts.append(_relu(num_pre))
-    concat = np.concatenate(parts, axis=1) if parts else np.zeros((batch.n_rows, 0), dtype)
+    np.maximum(num_pre, 0.0, out=concat[:, offset:])
+    return concat, bin_pre, num_pre
+
+
+def _head_probs(h: np.ndarray, blocks: dict[str, np.ndarray], head: str) -> np.ndarray:
+    z = h @ blocks[f"head.{head}.w"] + blocks[f"head.{head}.b"]
+    return _sigmoid(z.astype(np.float64))[:, 0]
+
+
+def _forward_cached(params: NetworkParams, batch: PreparedDataset) -> _ForwardCache:
+    config = params.config
+    b = params.blocks
+    concat, bin_pre, num_pre = _trunk_input(params, batch)
 
     trunk_inputs: dict[str, list[np.ndarray]] = {}
     trunk_pres: dict[str, list[np.ndarray]] = {}
@@ -312,14 +330,34 @@ def _forward_cached(params: NetworkParams, batch: PreparedDataset) -> _ForwardCa
 
     probs = np.empty((batch.n_rows, len(config.heads)), dtype=np.float64)
     for k, head in enumerate(config.heads):
-        z = head_inputs[head] @ b[f"head.{head}.w"] + b[f"head.{head}.b"]
-        probs[:, k] = _sigmoid(z.astype(np.float64))[:, 0]
+        probs[:, k] = _head_probs(head_inputs[head], b, head)
     return _ForwardCache(concat, bin_pre, num_pre, trunk_inputs, trunk_pres, head_inputs, probs)
 
 
 def forward(params: NetworkParams, batch: PreparedDataset) -> np.ndarray:
-    """Per-row, per-head probabilities, shape (n_rows, n_heads), all in (0, 1)."""
-    return _forward_cached(params, batch).probs
+    """Per-row, per-head probabilities, shape (n_rows, n_heads), all in (0, 1).
+
+    Bitwise the same as the training forward pass, but keeps nothing for a
+    backward pass: each trunk layer overwrites its own output in place, and
+    the concat buffer is released once the last trunk group has read it.
+    """
+    config = params.config
+    b = params.blocks
+    concat = _trunk_input(params, batch)[0]
+    groups = config.trunk_groups()
+    probs = np.empty((batch.n_rows, len(config.heads)), dtype=np.float64)
+    for g, group in enumerate(groups):
+        h = concat
+        if g == len(groups) - 1:
+            del concat  # h now holds the last reference
+        for i in range(len(config.trunk)):
+            h = h @ b[f"trunk.{group}.{i}.w"]
+            h += b[f"trunk.{group}.{i}.b"]
+            np.maximum(h, 0.0, out=h)
+        for k, head in enumerate(config.heads):
+            if config.trunk_group_of(head) == group:
+                probs[:, k] = _head_probs(h, b, head)
+    return probs
 
 
 def backward(
@@ -328,7 +366,7 @@ def backward(
     labels: np.ndarray,
     frozen_heads: frozenset[str] | None = None,
 ) -> dict[str, np.ndarray]:
-    """Exact gradient of the training loss with respect to every block.
+    """Exact gradient of the training loss with respect to every block it reaches.
 
     The loss is the weighted sum over heads of each head's mean binary
     cross-entropy, ``sum_k w_k * mean_i -(y_ik log p_ik + (1 - y_ik) log(1 - p_ik))``
@@ -338,7 +376,8 @@ def backward(
     ``frozen_heads`` (union of the config's freeze set and the argument)
     contribute no gradient to their own blocks; with duplicated trunks a
     frozen head is cut off entirely, so not even the shared branches and
-    embeddings see its loss.
+    embeddings see its loss. A block that receives no gradient has no key
+    in the result, so an optimizer step leaves it and its moments alone.
     """
     config = params.config
     cache = _forward_cached(params, batch)
@@ -351,7 +390,7 @@ def backward(
         raise ValueError(f"labels shape {y.shape} != {(n, len(config.heads))}")
     frozen = set(config.freeze_heads) | set(frozen_heads or ())
 
-    grads = {name: np.zeros(shape, dtype=config.np_dtype) for name, shape in block_specs(config)}
+    grads: dict[str, np.ndarray] = {}
     weights = config.loss_weights
 
     d_head_input: dict[str, np.ndarray] = {}
@@ -380,10 +419,10 @@ def backward(
 
     offset = 0
     for j, (col, m) in enumerate(zip(config.cat_columns, config.embedding_widths)):
-        dslice = d_concat[:, offset : offset + m]
-        np.add.at(grads[f"emb.{col}"], batch.cat_codes[:, j], dslice)
+        g = grads[f"emb.{col}"] = np.zeros(b[f"emb.{col}"].shape, dtype=config.np_dtype)
+        np.add.at(g, batch.cat_codes[:, j], d_concat[:, offset : offset + m])
         if config.freeze_missing_row:
-            grads[f"emb.{col}"][0] = 0.0
+            g[0] = 0.0
         offset += m
 
     dbin = d_concat[:, offset : offset + config.binary_width] * (cache.bin_pre > 0)
@@ -394,7 +433,7 @@ def backward(
     dnum = d_concat[:, offset : offset + config.numerical_width] * (cache.num_pre > 0)
     grads["num.w"] = batch.numeric.astype(config.np_dtype).T @ dnum
     grads["num.b"] = dnum.sum(axis=0)
-    return grads
+    return {name: grads[name] for name in b if name in grads}
 
 
 # ---------------------------------------------------------------------------

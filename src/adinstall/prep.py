@@ -333,10 +333,15 @@ class PreparedDataset:
     def n_rows(self) -> int:
         return len(self.row_ids)
 
-    def take(self, indices: np.ndarray) -> "PreparedDataset":
-        idx = np.asarray(indices)
+    def take(self, indices: np.ndarray | slice) -> "PreparedDataset":
+        """The rows at ``indices``: copies for an index array, views for a slice."""
+        if isinstance(indices, slice):
+            idx, row_ids = indices, self.row_ids[indices]
+        else:
+            idx = np.asarray(indices)
+            row_ids = tuple(self.row_ids[i] for i in idx)
         return PreparedDataset(
-            row_ids=tuple(self.row_ids[i] for i in idx),
+            row_ids=row_ids,
             cat_names=self.cat_names,
             cat_codes=self.cat_codes[idx],
             bin_names=self.bin_names,

@@ -19,8 +19,12 @@ from .network import NetworkConfig, NetworkParams, backward, forward, init_netwo
 from .optim import OptimizerState, optimizer_step
 from .prep import PreparedDataset
 
-# rows per forward pass when a whole dataset is scored
-EVAL_BATCH_SIZE = 65536
+# bytes a scoring batch may take for its concat buffer plus the widest array
+# beside it (a trunk output, or the buffer numpy gathers an embedding into);
+# the rows per batch follow from the model's widths and dtype
+EVAL_BATCH_BYTES = 32 << 20
+# scoring batches are a multiple of this many rows, and never fewer
+EVAL_ROW_ALIGN = 64
 
 
 @dataclass(frozen=True)
@@ -161,16 +165,30 @@ def split_train_val(
     return dataset.take(train_idx), dataset.take(val_idx)
 
 
-def predict(
-    params: NetworkParams, dataset: PreparedDataset, batch_size: int = EVAL_BATCH_SIZE
-) -> np.ndarray:
-    """Pure forward pass in row order; shape (n_rows, n_heads)."""
-    chunks = []
-    for start in range(0, dataset.n_rows, batch_size):
-        chunks.append(forward(params, dataset.take(np.arange(start, min(start + batch_size, dataset.n_rows)))))
-    if not chunks:
-        return np.zeros((0, len(params.config.heads)))
-    return np.concatenate(chunks, axis=0)
+def eval_batch_rows(config: NetworkConfig) -> int:
+    """Rows per scoring batch under ``EVAL_BATCH_BYTES``: a multiple of
+    ``EVAL_ROW_ALIGN``, and at least that many."""
+    widest = max((*config.trunk, *config.embedding_widths), default=0)
+    row_bytes = config.np_dtype.itemsize * (config.concat_width + widest)
+    return max(1, EVAL_BATCH_BYTES // row_bytes // EVAL_ROW_ALIGN) * EVAL_ROW_ALIGN
+
+
+def predict(params: NetworkParams, dataset: PreparedDataset) -> np.ndarray:
+    """Pure forward pass in row order; shape (n_rows, n_heads).
+
+    Rows are scored in contiguous batches of ``eval_batch_rows`` rows, so the
+    working memory does not grow with the dataset. A last batch shorter than
+    ``EVAL_ROW_ALIGN`` rows joins the one before it: a BLAS build can round a
+    row differently when the matrix has only a few rows.
+    """
+    n = dataset.n_rows
+    starts = list(range(0, n, eval_batch_rows(params.config)))
+    if len(starts) > 1 and n - starts[-1] < EVAL_ROW_ALIGN:
+        starts.pop()
+    probs = np.empty((n, len(params.config.heads)))
+    for start, stop in zip(starts, starts[1:] + [n]):
+        probs[start:stop] = forward(params, dataset.take(slice(start, stop)))
+    return probs
 
 
 def _eval_losses(

@@ -310,6 +310,21 @@ def test_prepare_reports_a_token_beyond_int64(workspace, capsys):
     assert not (workspace / "pipeline.json").exists()
 
 
+def test_prepare_reports_a_token_beyond_int64_before_a_separator_character(tmp_path, capsys):
+    (tmp_path / "schema.txt").write_text(
+        "has_header = false\nid = row_id\nc = categorical\nis_installed = label\n")
+    # str.strip removes the trailing "\x1c" before the token is parsed; int() would not
+    (tmp_path / "train.tsv").write_bytes(b"r1\t99999999999999999999\x1c\t1\nr2\t4\t0\n")
+    code, _, err = run(capsys, "prepare", "--schema-file", str(tmp_path / "schema.txt"),
+                       "--train-file", str(tmp_path / "train.tsv"), "--out-dir", str(tmp_path))
+    assert code == 1
+    assert err.startswith("adinstall: error: DataFormatError: categorical token "
+                          "'99999999999999999999' does not fit in 64 bits")
+    assert "column='c'" in err and "line=1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "pipeline.json").exists()
+
+
 def test_config_file_with_overrides(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("rows = 600\ntest_rows = 80\nseed = 4\ncat_vocabs = 5,9\nn_binary = 2\nn_numerical = 4\n")

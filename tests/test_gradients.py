@@ -82,9 +82,22 @@ def test_frozen_heads_argument(rng):
     params = init_network(cfg)
     batch = make_batch(rng, cfg, 5)
     grads = backward(params, batch, batch.labels, frozen_heads=frozenset({"is_clicked"}))
-    assert np.all(grads["head.is_clicked.w"] == 0.0)
-    assert np.all(grads["head.is_clicked.b"] == 0.0)
+    # no gradient at all, so an optimizer step cannot move the frozen head
+    assert "head.is_clicked.w" not in grads and "head.is_clicked.b" not in grads
     assert np.any(grads["head.is_installed.w"] != 0.0)
+    kept = [name for name in params.blocks if not name.startswith("head.is_clicked.")]
+    assert list(grads) == kept
+
+
+def test_frozen_duplicated_trunk_gets_no_gradient(rng):
+    cfg = small_config(seed=3, heads=("is_installed", "is_clicked"), trunk_sharing="duplicated")
+    params = init_network(cfg)
+    batch = make_batch(rng, cfg, 5)
+    grads = backward(params, batch, batch.labels, frozen_heads=frozenset({"is_clicked"}))
+    cut = [name for name in params.blocks
+           if name.startswith(("trunk.is_clicked.", "head.is_clicked."))]
+    assert cut and not set(cut) & set(grads)
+    assert list(grads) == [name for name in params.blocks if name not in cut]
 
 
 def test_single_sgd_step_does_not_increase_loss(rng):

@@ -203,6 +203,21 @@ def test_error_in_a_later_chunk_names_its_file_line(tmp_path, monkeypatch, bad_r
     assert_same_outcome(path, SCHEMA, 64)
 
 
+@pytest.mark.parametrize("chunk_chars", [1, 5, 1 << 20])
+def test_token_beyond_int64_before_a_separator_character(tmp_path, chunk_chars):
+    # int() rejects "\x1c", which str.strip removes: found by the differential test above
+    path = tmp_path / "data.txt"
+    path.write_bytes("\t99999999999999999999\x1c\n".encode("utf-8"))
+    schema = FeatureSchema((("c0", "row_id"), ("c1", "categorical")), "\t", False)
+    with mock.patch.object(ingest, "CHUNK_CHARS", chunk_chars), \
+            pytest.raises(DataFormatError) as exc:
+        ingest.load_table(path, schema)
+    assert (exc.value.line, exc.value.column) == (1, "c1")
+    assert str(exc.value).startswith(
+        "categorical token '99999999999999999999' does not fit in 64 bits")
+    assert_same_outcome(path, schema, chunk_chars)
+
+
 def test_chunked_parse_of_a_large_file_matches_oracle(tmp_path, monkeypatch, rng):
     rows = []
     for i in range(3000):

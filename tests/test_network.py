@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from adinstall.errors import ArtifactError, PipelineMismatchError
 from adinstall.network import (
     NetworkConfig,
     block_specs,
+    _forward_cached,
     embedding_width_rule,
     forward,
     init_network,
@@ -301,3 +303,64 @@ def test_block_specs_order_is_stable():
         "head.is_clicked.w",
         "head.is_clicked.b",
     ]
+
+
+def randomized(cfg: NetworkConfig, rng: np.random.Generator):
+    """Parameters with every block drawn from N(0, 1), biases included."""
+    params = init_network(cfg)
+    for arr in params.blocks.values():
+        arr[...] = rng.normal(size=arr.shape)
+    return params
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(),
+    dict(trunk=(7, 3), dtype="f32"),
+    dict(trunk=()),
+    dict(heads=("is_installed", "is_clicked"), trunk=(7, 3)),
+    dict(heads=("is_installed", "is_clicked"), trunk_sharing="duplicated", trunk=(7, 3)),
+    dict(heads=("is_installed", "is_clicked"), trunk_sharing="duplicated", dtype="f32"),
+    dict(heads=("is_installed", "is_clicked"), trunk_sharing="duplicated", trunk=()),
+])
+def test_forward_matches_the_training_forward_bitwise(rng, overrides):
+    # the scoring pass keeps no cache, but must compute the same bits
+    cfg = small_config(**overrides)
+    params = randomized(cfg, rng)
+    batch = make_batch(rng, cfg, 300)
+    probs = forward(params, batch)
+    assert probs.dtype == np.float64 and probs.shape == (300, len(cfg.heads))
+    assert probs.tobytes() == _forward_cached(params, batch).probs.tobytes()
+
+
+def test_forward_leaves_params_and_batch_unchanged(rng):
+    cfg = small_config(heads=("is_installed", "is_clicked"), trunk_sharing="duplicated",
+                       trunk=(7, 3))
+    params = randomized(cfg, rng)
+    batch = make_batch(rng, cfg, 50)
+    blocks = {name: arr.copy() for name, arr in params.blocks.items()}
+    arrays = [batch.cat_codes.copy(), batch.binary.copy(), batch.numeric.copy(),
+              batch.labels.copy()]
+    forward(params, batch)
+    assert list(params.blocks) == list(blocks)
+    for name, arr in params.blocks.items():
+        assert arr.tobytes() == blocks[name].tobytes(), name
+    for before, after in zip(arrays, [batch.cat_codes, batch.binary, batch.numeric,
+                                      batch.labels]):
+        assert after.tobytes() == before.tobytes()
+
+
+def test_forward_keeps_no_backward_cache(rng):
+    # numpy reports its buffers to tracemalloc; the cached pass keeps every
+    # trunk input and pre-activation alive until it returns
+    cfg = small_config(trunk=(256, 128))
+    params = init_network(cfg)
+    batch = make_batch(rng, cfg, 2000)
+    peaks = []
+    for run in (forward, lambda p, b: _forward_cached(p, b).probs):
+        tracemalloc.start()
+        try:
+            run(params, batch)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 0.7 * peaks[1]

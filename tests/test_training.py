@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from adinstall import training
 from adinstall.errors import PipelineMismatchError
 from adinstall.metrics import log_loss
 from adinstall.network import NetworkConfig, init_network
@@ -215,6 +219,51 @@ def test_per_head_monitoring_duplicated_trunks(small_synth_dataset):
     assert all(np.isfinite(block).all() for block in params.blocks.values())
 
 
+def test_per_head_returns_each_heads_best_blocks(small_synth_dataset, monkeypatch):
+    monitors = []
+
+    class Recording(EarlyStopMonitor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            monitors.append(self)
+
+    monkeypatch.setattr(training, "EarlyStopMonitor", Recording)
+    cfg = net_config(heads=("is_clicked", "is_installed"), trunk_sharing="duplicated", seed=3)
+    stop_cfg = train_config(monitor_mode="per_head", max_epochs=12, patience=1)
+    params, history = train_with_early_stopping(small_synth_dataset, cfg, stop_cfg)
+    # one head stopped while the other kept training
+    assert any(m.stopped and m.best_epoch + stop_cfg.patience < history.stopped_epoch
+               for m in monitors)
+    for monitor in monitors:
+        for name, best in monitor.best_blocks.items():
+            assert params.blocks[name].tobytes() == best.tobytes(), name
+
+
+def test_per_head_restored_params_reproduce_each_heads_best_val_loss(small_synth_dataset):
+    # The shared embeddings and branches keep training for one head after the
+    # other stops, so only a model without them makes a head's validation loss
+    # a function of its own blocks: here every input column is dropped, and
+    # each head learns its base rate through its own trunk copy and output.
+    ds = dataclasses.replace(
+        small_synth_dataset, cat_names=(), cat_codes=small_synth_dataset.cat_codes[:, :0],
+        bin_names=(), binary=small_synth_dataset.binary[:, :0],
+        num_names=(), numeric=small_synth_dataset.numeric[:, :0],
+    )
+    heads = ("is_clicked", "is_installed")
+    cfg = net_config(cat_columns=(), vocab_sizes=(), n_binary=0, n_numerical=0, trunk=(4,),
+                     heads=heads, trunk_sharing="duplicated", seed=3)
+    stop_cfg = train_config(monitor_mode="per_head", max_epochs=30, patience=1,
+                            batch_size=64, learning_rate=0.3)
+    params, history = train_with_early_stopping(ds, cfg, stop_cfg)
+    assert min(history.per_head_best.values()) + stop_cfg.patience < history.stopped_epoch
+    _, val = split_train_val(ds, stop_cfg.seed, stop_cfg.val_fraction)
+    probs = predict(params, val)
+    y = val.label_matrix(heads)
+    for k, head in enumerate(heads):
+        best = history.epochs[history.per_head_best[head] - 1].val_loss[head]
+        assert log_loss(y[:, k], probs[:, k]) == best, head
+
+
 # ---------------------------------------------------------------------------
 # full retraining and inference
 # ---------------------------------------------------------------------------
@@ -276,3 +325,70 @@ def test_history_files_have_no_timing_columns(trained):
     assert sum(line.split("\t")[-1] == "1" for line in lines[1:]) >= 1
     table = history.render_table()
     assert "epoch" in table and "time" not in table.lower()
+
+
+# ---------------------------------------------------------------------------
+# scoring in bounded memory
+# ---------------------------------------------------------------------------
+
+
+def test_eval_batch_rows_follow_the_byte_budget(monkeypatch):
+    # 8 + 30 + 8 + 8 concat columns; the 30-wide embedding is wider than the 16-wide trunk
+    cfg = net_config()
+    monkeypatch.setattr(training, "EVAL_BATCH_BYTES", 1000 * 8 * (54 + 30))
+    assert training.eval_batch_rows(cfg) == 960  # 1000 rounded down to a multiple of 64
+    assert training.eval_batch_rows(net_config(dtype="f32")) == 1984
+    assert training.eval_batch_rows(net_config(trunk=(100, 8))) == 512  # 545 rounded down
+    monkeypatch.setattr(training, "EVAL_BATCH_BYTES", 1)
+    assert training.eval_batch_rows(cfg) == 64
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, 63, 64, 127, 128, 191, 192, 200, 300, 2400])
+def test_predict_scores_contiguous_views_of_at_least_64_rows(small_synth_dataset, monkeypatch,
+                                                             n_rows):
+    params = init_network(net_config())
+    ds = small_synth_dataset.take(np.arange(n_rows))
+    monkeypatch.setattr(training, "EVAL_BATCH_BYTES", 128 * 8 * (54 + 30))
+    batches = []
+    real_forward = training.forward
+
+    def recording(params, batch):
+        batches.append(batch)
+        return real_forward(params, batch)
+
+    monkeypatch.setattr(training, "forward", recording)
+    probs = predict(params, ds)
+    assert probs.shape == (n_rows, 1)
+    sizes = [b.n_rows for b in batches]
+    assert sum(sizes) == n_rows
+    assert all(size == 128 for size in sizes[:-1])
+    if sizes:
+        assert 64 <= sizes[-1] < 128 + 64 or sizes == [n_rows]
+    # contiguous ranges, in order, taken as views rather than copies
+    assert sum((b.row_ids for b in batches), ()) == ds.row_ids
+    for b in batches:
+        assert np.shares_memory(b.cat_codes, ds.cat_codes)
+        assert np.shares_memory(b.numeric, ds.numeric)
+    if n_rows:
+        whole = real_forward(params, ds)
+        np.testing.assert_allclose(probs, whole, rtol=0, atol=1e-12)
+
+
+def test_predict_memory_is_set_by_the_budget_not_the_rows(small_synth_dataset, monkeypatch):
+    params = init_network(net_config(vocab_sizes=(8, 300)))  # 8 + 256 + 16 concat columns
+    budget = 1 << 20
+    monkeypatch.setattr(training, "EVAL_BATCH_BYTES", budget)
+    rows = training.eval_batch_rows(params.config)
+
+    def traced_peak(n_rows: int) -> tuple[int, int]:
+        ds = small_synth_dataset.take(np.arange(n_rows) % small_synth_dataset.n_rows)
+        tracemalloc.start()
+        try:
+            probs = predict(params, ds)
+            return tracemalloc.get_traced_memory()[1], probs.nbytes
+        finally:
+            tracemalloc.stop()
+
+    peak, out_bytes = traced_peak(2 * rows)
+    assert peak < 1.5 * budget + out_bytes
+    assert traced_peak(8 * rows)[0] < 1.1 * peak
