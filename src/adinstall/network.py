@@ -18,7 +18,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -230,10 +230,6 @@ def init_network(config: NetworkConfig) -> NetworkParams:
 # ---------------------------------------------------------------------------
 
 
-def _relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
-
-
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z)
     pos = z >= 0
@@ -242,16 +238,6 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     out[~pos] = ez / (1.0 + ez)
     # keep outputs strictly inside (0, 1) even at saturation
     return np.clip(out, PROB_LO, PROB_HI)
-
-
-class _ForwardCache(NamedTuple):
-    concat: np.ndarray
-    bin_pre: np.ndarray
-    num_pre: np.ndarray
-    trunk_inputs: dict[str, list[np.ndarray]]  # per group: input of each layer
-    trunk_pres: dict[str, list[np.ndarray]]
-    head_inputs: dict[str, np.ndarray]
-    probs: np.ndarray
 
 
 def _validate_batch(config: NetworkConfig, batch: PreparedDataset) -> None:
@@ -278,11 +264,9 @@ def _validate_batch(config: NetworkConfig, batch: PreparedDataset) -> None:
             )
 
 
-def _trunk_input(
-    params: NetworkParams, batch: PreparedDataset
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(concat, bin_pre, num_pre)``: every embedding is gathered and both
-    branch ReLUs are written straight into one (n_rows, concat_width) buffer."""
+def _trunk_input(params: NetworkParams, batch: PreparedDataset) -> np.ndarray:
+    """Every embedding is gathered and both branch ReLUs are written straight
+    into one (n_rows, concat_width) buffer."""
     config = params.config
     _validate_batch(config, batch)
     b = params.blocks
@@ -298,7 +282,7 @@ def _trunk_input(
     offset += config.binary_width
     num_pre = batch.numeric.astype(dtype) @ b["num.w"] + b["num.b"]
     np.maximum(num_pre, 0.0, out=concat[:, offset:])
-    return concat, bin_pre, num_pre
+    return concat
 
 
 def _head_probs(h: np.ndarray, blocks: dict[str, np.ndarray], head: str) -> np.ndarray:
@@ -306,58 +290,47 @@ def _head_probs(h: np.ndarray, blocks: dict[str, np.ndarray], head: str) -> np.n
     return _sigmoid(z.astype(np.float64))[:, 0]
 
 
-def _forward_cached(params: NetworkParams, batch: PreparedDataset) -> _ForwardCache:
-    config = params.config
-    b = params.blocks
-    concat, bin_pre, num_pre = _trunk_input(params, batch)
+def _forward(
+    params: NetworkParams,
+    batch: PreparedDataset,
+    acts: dict[str, list[np.ndarray]] | None = None,
+) -> np.ndarray:
+    """Per-row, per-head probabilities; the one forward pass.
 
-    trunk_inputs: dict[str, list[np.ndarray]] = {}
-    trunk_pres: dict[str, list[np.ndarray]] = {}
-    head_inputs: dict[str, np.ndarray] = {}
-    for group in config.trunk_groups():
-        h = concat
-        inputs, pres = [], []
-        for i in range(len(config.trunk)):
-            inputs.append(h)
-            pre = h @ b[f"trunk.{group}.{i}.w"] + b[f"trunk.{group}.{i}.b"]
-            pres.append(pre)
-            h = _relu(pre)
-        trunk_inputs[group] = inputs
-        trunk_pres[group] = pres
-        for head in config.heads:
-            if config.trunk_group_of(head) == group:
-                head_inputs[head] = h
-
-    probs = np.empty((batch.n_rows, len(config.heads)), dtype=np.float64)
-    for k, head in enumerate(config.heads):
-        probs[:, k] = _head_probs(head_inputs[head], b, head)
-    return _ForwardCache(concat, bin_pre, num_pre, trunk_inputs, trunk_pres, head_inputs, probs)
-
-
-def forward(params: NetworkParams, batch: PreparedDataset) -> np.ndarray:
-    """Per-row, per-head probabilities, shape (n_rows, n_heads), all in (0, 1).
-
-    Bitwise the same as the training forward pass, but keeps nothing for a
-    backward pass: each trunk layer overwrites its own output in place, and
-    the concat buffer is released once the last trunk group has read it.
+    Each trunk layer overwrites its own output in place. Given ``acts``, the
+    pass records for each trunk group the concat buffer followed by every
+    layer's output, which is all ``backward`` reads: a ReLU's mask is where
+    its output is positive. Without it nothing is kept, and the concat buffer
+    is released once the last trunk group has read it.
     """
     config = params.config
     b = params.blocks
-    concat = _trunk_input(params, batch)[0]
+    concat = _trunk_input(params, batch)
     groups = config.trunk_groups()
     probs = np.empty((batch.n_rows, len(config.heads)), dtype=np.float64)
     for g, group in enumerate(groups):
         h = concat
-        if g == len(groups) - 1:
+        if acts is not None:
+            acts[group] = [h]
+        elif g == len(groups) - 1:
             del concat  # h now holds the last reference
         for i in range(len(config.trunk)):
             h = h @ b[f"trunk.{group}.{i}.w"]
             h += b[f"trunk.{group}.{i}.b"]
             np.maximum(h, 0.0, out=h)
+            if acts is not None:
+                acts[group].append(h)
         for k, head in enumerate(config.heads):
             if config.trunk_group_of(head) == group:
                 probs[:, k] = _head_probs(h, b, head)
     return probs
+
+
+def forward(params: NetworkParams, batch: PreparedDataset) -> np.ndarray:
+    """Per-row, per-head probabilities, shape (n_rows, n_heads), all in (0, 1).
+
+    Keeps nothing for a backward pass."""
+    return _forward(params, batch)
 
 
 def backward(
@@ -380,7 +353,8 @@ def backward(
     in the result, so an optimizer step leaves it and its moments alone.
     """
     config = params.config
-    cache = _forward_cached(params, batch)
+    acts: dict[str, list[np.ndarray]] = {}
+    probs = _forward(params, batch, acts)
     b = params.blocks
     n = batch.n_rows
     y = np.asarray(labels, dtype=np.float64)
@@ -395,24 +369,26 @@ def backward(
 
     d_head_input: dict[str, np.ndarray] = {}
     for k, head in enumerate(config.heads):
-        dz = (weights[k] * (cache.probs[:, k] - y[:, k]) / n)[:, None].astype(config.np_dtype)
-        h_in = cache.head_inputs[head]
+        dz = (weights[k] * (probs[:, k] - y[:, k]) / n)[:, None].astype(config.np_dtype)
+        h_in = acts[config.trunk_group_of(head)][-1]
         if head not in frozen:
             grads[f"head.{head}.w"] = h_in.T @ dz
             grads[f"head.{head}.b"] = dz.sum(axis=0)
         d_head_input[head] = dz @ b[f"head.{head}.w"].T
 
-    d_concat = np.zeros_like(cache.concat)
+    concat = acts[config.trunk_groups()[0]][0]
+    d_concat = np.zeros_like(concat)
     for group in config.trunk_groups():
         group_heads = [h for h in config.heads if config.trunk_group_of(h) == group]
         if config.trunk_sharing == "duplicated" and all(h in frozen for h in group_heads):
             continue
-        dh = np.zeros_like(cache.head_inputs[group_heads[0]])
+        layers = acts[group]
+        dh = np.zeros_like(layers[-1])
         for h in group_heads:
             dh = dh + d_head_input[h]
         for i in reversed(range(len(config.trunk))):
-            dpre = dh * (cache.trunk_pres[group][i] > 0)
-            grads[f"trunk.{group}.{i}.w"] = cache.trunk_inputs[group][i].T @ dpre
+            dpre = dh * (layers[i + 1] > 0)
+            grads[f"trunk.{group}.{i}.w"] = layers[i].T @ dpre
             grads[f"trunk.{group}.{i}.b"] = dpre.sum(axis=0)
             dh = dpre @ b[f"trunk.{group}.{i}.w"].T
         d_concat += dh
@@ -425,12 +401,13 @@ def backward(
             g[0] = 0.0
         offset += m
 
-    dbin = d_concat[:, offset : offset + config.binary_width] * (cache.bin_pre > 0)
+    span = slice(offset, offset + config.binary_width)
+    dbin = d_concat[:, span] * (concat[:, span] > 0)
     grads["bin.w"] = batch.binary.astype(config.np_dtype).T @ dbin
     grads["bin.b"] = dbin.sum(axis=0)
     offset += config.binary_width
 
-    dnum = d_concat[:, offset : offset + config.numerical_width] * (cache.num_pre > 0)
+    dnum = d_concat[:, offset:] * (concat[:, offset:] > 0)
     grads["num.w"] = batch.numeric.astype(config.np_dtype).T @ dnum
     grads["num.b"] = dnum.sum(axis=0)
     return {name: grads[name] for name in b if name in grads}

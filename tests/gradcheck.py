@@ -18,7 +18,6 @@ import numpy as np
 from adinstall.network import (
     NetworkConfig,
     NetworkParams,
-    _forward_cached,
     backward,
     forward,
     init_network,
@@ -102,11 +101,17 @@ def small_config(
 
 
 def relu_pre_margin(params: NetworkParams, batch: PreparedDataset) -> float:
-    """Smallest |pre-activation| over every ReLU in the network."""
-    cache = _forward_cached(params, batch)
-    pres = [cache.bin_pre, cache.num_pre]
-    for group_pres in cache.trunk_pres.values():
-        pres.extend(group_pres)
+    """Smallest |pre-activation| over every ReLU in the network, from a
+    reference forward pass that keeps each one."""
+    cfg, b = params.config, params.blocks
+    pres = [batch.binary @ b["bin.w"] + b["bin.b"], batch.numeric @ b["num.w"] + b["num.b"]]
+    embs = [b[f"emb.{col}"][batch.cat_codes[:, j]] for j, col in enumerate(cfg.cat_columns)]
+    concat = np.concatenate([*embs, np.maximum(pres[0], 0.0), np.maximum(pres[1], 0.0)], axis=1)
+    for group in cfg.trunk_groups():
+        h = concat
+        for i in range(len(cfg.trunk)):
+            pres.append(h @ b[f"trunk.{group}.{i}.w"] + b[f"trunk.{group}.{i}.b"])
+            h = np.maximum(pres[-1], 0.0)
     return min(float(np.abs(p).min()) for p in pres if p.size)
 
 

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -37,6 +42,20 @@ def test_synth_writes_expected_files(workspace):
     assert (workspace / "schema.txt").exists()
     header = (workspace / "train.tsv").read_text().splitlines()[0]
     assert header.startswith("f_0\t") and header.endswith("is_clicked\tis_installed")
+
+
+def test_module_form_runs_the_cli(tmp_path):
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+
+    def module_cli(*argv):
+        return subprocess.run([sys.executable, "-m", "adinstall.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    proc = module_cli("synth", "--out-dir", str(tmp_path / "run"), "--seed", "5", *FAST)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "run" / "schema.txt").is_file()
+    assert module_cli("no-such-command").returncode == 2
 
 
 def trained(workspace, capsys, *train_args):

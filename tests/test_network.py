@@ -9,8 +9,8 @@ import pytest
 from adinstall.errors import ArtifactError, PipelineMismatchError
 from adinstall.network import (
     NetworkConfig,
+    _forward,
     block_specs,
-    _forward_cached,
     embedding_width_rule,
     forward,
     init_network,
@@ -323,13 +323,13 @@ def randomized(cfg: NetworkConfig, rng: np.random.Generator):
     dict(heads=("is_installed", "is_clicked"), trunk_sharing="duplicated", trunk=()),
 ])
 def test_forward_matches_the_training_forward_bitwise(rng, overrides):
-    # the scoring pass keeps no cache, but must compute the same bits
+    # recording activations for backward must not change a single bit
     cfg = small_config(**overrides)
     params = randomized(cfg, rng)
     batch = make_batch(rng, cfg, 300)
     probs = forward(params, batch)
     assert probs.dtype == np.float64 and probs.shape == (300, len(cfg.heads))
-    assert probs.tobytes() == _forward_cached(params, batch).probs.tobytes()
+    assert probs.tobytes() == _forward(params, batch, acts={}).tobytes()
 
 
 def test_forward_leaves_params_and_batch_unchanged(rng):
@@ -349,18 +349,35 @@ def test_forward_leaves_params_and_batch_unchanged(rng):
         assert after.tobytes() == before.tobytes()
 
 
-def test_forward_keeps_no_backward_cache(rng):
-    # numpy reports its buffers to tracemalloc; the cached pass keeps every
-    # trunk input and pre-activation alive until it returns
-    cfg = small_config(trunk=(256, 128))
+def traced_peak(run) -> int:
+    # numpy reports its buffers to tracemalloc
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_forward_memory_does_not_grow_with_depth(rng):
+    # a pass that kept each layer's output would hold 4 more 256-wide layers
+    peaks = []
+    for depth in (2, 6):
+        cfg = small_config(vocab_sizes=(3, 30), trunk=(256,) * depth)
+        params = init_network(cfg)
+        batch = make_batch(rng, cfg, 2000)
+        peaks.append(traced_peak(lambda: forward(params, batch)))
+    assert peaks[1] <= 1.05 * peaks[0]
+
+
+def test_taped_pass_keeps_only_the_concat_and_layer_outputs(rng):
+    # backward reads its ReLU masks from the outputs, so no pre-activation
+    # or per-layer input copy is kept beside them
+    cfg = small_config(vocab_sizes=(3, 30), trunk=(256,) * 6)
     params = init_network(cfg)
     batch = make_batch(rng, cfg, 2000)
-    peaks = []
-    for run in (forward, lambda p, b: _forward_cached(p, b).probs):
-        tracemalloc.start()
-        try:
-            run(params, batch)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert peaks[0] < 0.7 * peaks[1]
+    acts = {}
+    peak = traced_peak(lambda: _forward(params, batch, acts))
+    concat, *outputs = acts["shared"]
+    assert concat.shape == (2000, cfg.concat_width) and len(outputs) == 6
+    assert peak < concat.nbytes + 7 * outputs[0].nbytes
