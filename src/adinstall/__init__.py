@@ -21,6 +21,7 @@ from .metrics import ConfusionMatrix, MetricsReport, confusion, log_loss, nir, r
 from .network import (
     NetworkConfig,
     NetworkParams,
+    RowGrad,
     backward,
     embedding_width_rule,
     forward,

@@ -18,7 +18,7 @@ import json
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -333,24 +333,41 @@ def forward(params: NetworkParams, batch: PreparedDataset) -> np.ndarray:
     return _forward(params, batch)
 
 
+class RowGrad(NamedTuple):
+    """Gradient of an embedding table on the rows one batch looked up.
+
+    ``rows`` holds the distinct codes in increasing order and ``values[k]`` is
+    the gradient of row ``rows[k]``; every other row's gradient is exactly
+    zero, so its size follows the batch, not the vocabulary.
+    """
+
+    rows: np.ndarray
+    values: np.ndarray
+
+
 def backward(
     params: NetworkParams,
     batch: PreparedDataset,
     labels: np.ndarray,
     frozen_heads: frozenset[str] | None = None,
-) -> dict[str, np.ndarray]:
+) -> dict[str, np.ndarray | RowGrad]:
     """Exact gradient of the training loss with respect to every block it reaches.
 
     The loss is the weighted sum over heads of each head's mean binary
     cross-entropy, ``sum_k w_k * mean_i -(y_ik log p_ik + (1 - y_ik) log(1 - p_ik))``
     with ``w = config.loss_weights``. At each sigmoid head the pre-activation gradient is
-    ``weight * (p - y) / n_rows``; embedding gradients are scatter-added per
-    looked-up row, so rows absent from the batch get exactly zero. Heads in
+    ``weight * (p - y) / n_rows``. An embedding gradient is a :class:`RowGrad`:
+    gradients are scatter-added per looked-up row into a block of the rows the
+    batch touched, and every other row's gradient is zero. Heads in
     ``frozen_heads`` (union of the config's freeze set and the argument)
     contribute no gradient to their own blocks; with duplicated trunks a
     frozen head is cut off entirely, so not even the shared branches and
     embeddings see its loss. A block that receives no gradient has no key
     in the result, so an optimizer step leaves it and its moments alone.
+
+    One concat-wide gradient is held beside the concat buffer: the first trunk
+    group's input gradient becomes it and a second group adds into it, and
+    each layer output is released once its mask and weight gradient are formed.
     """
     config = params.config
     acts: dict[str, list[np.ndarray]] = {}
@@ -364,41 +381,57 @@ def backward(
         raise ValueError(f"labels shape {y.shape} != {(n, len(config.heads))}")
     frozen = set(config.freeze_heads) | set(frozen_heads or ())
 
-    grads: dict[str, np.ndarray] = {}
+    grads: dict[str, np.ndarray | RowGrad] = {}
     weights = config.loss_weights
 
-    d_head_input: dict[str, np.ndarray] = {}
+    # Each gradient below is summed without a zero-filled array to start
+    # from, so a -0.0 that 0.0 + x would turn into +0.0 stays -0.0. That
+    # moves only the sign of an exact zero in a gradient: Adam adds it to a
+    # moment that is never -0.0, and SGD subtracts it from a parameter that
+    # is never -0.0, so no bit of either changes.
+    d_out: dict[str, np.ndarray] = {}  # gradient at each trunk group's output
     for k, head in enumerate(config.heads):
         dz = (weights[k] * (probs[:, k] - y[:, k]) / n)[:, None].astype(config.np_dtype)
-        h_in = acts[config.trunk_group_of(head)][-1]
+        group = config.trunk_group_of(head)
         if head not in frozen:
-            grads[f"head.{head}.w"] = h_in.T @ dz
+            grads[f"head.{head}.w"] = acts[group][-1].T @ dz
             grads[f"head.{head}.b"] = dz.sum(axis=0)
-        d_head_input[head] = dz @ b[f"head.{head}.w"].T
+        d_in = dz @ b[f"head.{head}.w"].T
+        if group in d_out:
+            d_out[group] += d_in
+        else:
+            d_out[group] = d_in
 
     concat = acts[config.trunk_groups()[0]][0]
-    d_concat = np.zeros_like(concat)
+    d_concat = None
     for group in config.trunk_groups():
-        group_heads = [h for h in config.heads if config.trunk_group_of(h) == group]
-        if config.trunk_sharing == "duplicated" and all(h in frozen for h in group_heads):
+        layers = acts.pop(group)
+        dh = d_out.pop(group)
+        if config.trunk_sharing == "duplicated" and all(
+            h in frozen for h in config.heads if config.trunk_group_of(h) == group
+        ):
             continue
-        layers = acts[group]
-        dh = np.zeros_like(layers[-1])
-        for h in group_heads:
-            dh = dh + d_head_input[h]
         for i in reversed(range(len(config.trunk))):
-            dpre = dh * (layers[i + 1] > 0)
-            grads[f"trunk.{group}.{i}.w"] = layers[i].T @ dpre
-            grads[f"trunk.{group}.{i}.b"] = dpre.sum(axis=0)
-            dh = dpre @ b[f"trunk.{group}.{i}.w"].T
-        d_concat += dh
+            dh *= layers.pop() > 0  # now the gradient at the layer's pre-activation
+            grads[f"trunk.{group}.{i}.w"] = layers[-1].T @ dh
+            grads[f"trunk.{group}.{i}.b"] = dh.sum(axis=0)
+            dh = dh @ b[f"trunk.{group}.{i}.w"].T
+        if d_concat is None:
+            d_concat = dh
+        else:
+            d_concat += dh
+    del layers, dh
+    if d_concat is None:  # every trunk group cut off
+        d_concat = np.zeros_like(concat)
 
     offset = 0
     for j, (col, m) in enumerate(zip(config.cat_columns, config.embedding_widths)):
-        g = grads[f"emb.{col}"] = np.zeros(b[f"emb.{col}"].shape, dtype=config.np_dtype)
-        np.add.at(g, batch.cat_codes[:, j], d_concat[:, offset : offset + m])
+        rows, inverse = np.unique(batch.cat_codes[:, j], return_inverse=True)
+        values = np.zeros((rows.size, m), dtype=config.np_dtype)
+        np.add.at(values, inverse, d_concat[:, offset : offset + m])
         if config.freeze_missing_row:
-            g[0] = 0.0
+            values[rows == 0] = 0.0
+        grads[f"emb.{col}"] = RowGrad(rows, values)
         offset += m
 
     span = slice(offset, offset + config.binary_width)

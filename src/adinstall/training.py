@@ -235,6 +235,7 @@ def _fit(
                 idx = order[start : start + train_config.batch_size]
                 grads = backward(params, train_ds.take(idx), y_train[idx], frozen_heads=frozen)
                 optimizer_step(opt, params, grads)
+                del grads  # not alive through the next backward
         except NonFiniteGradientError as exc:
             history.diverged = True
             history.diagnostic = f"epoch {epoch}: {exc}"

@@ -1,8 +1,8 @@
 """Central finite-difference oracle for the analytic gradients.
 
-Embedding rows not looked up by the batch are asserted exactly zero (the
-loss is constant in those coordinates), and the derivative check runs on
-every remaining parameter.
+An embedding gradient must cover exactly the rows the batch looked up, so
+every other row's gradient is zero by construction (the loss is constant in
+those coordinates); the derivative check runs on every remaining parameter.
 
 A central difference is only a valid derivative probe where the loss is
 differentiable within the probe radius, so check points are chosen clear
@@ -18,6 +18,7 @@ import numpy as np
 from adinstall.network import (
     NetworkConfig,
     NetworkParams,
+    RowGrad,
     backward,
     forward,
     init_network,
@@ -50,13 +51,13 @@ def relative_errors(
 
     worst: dict[str, float] = {}
     for name, arr in params.blocks.items():
-        g = grads[name]
+        g = densify(grads[name], arr.shape)
         if name.startswith("emb."):
             j = cfg.cat_columns.index(name[4:])
-            touched = sorted(set(int(c) for c in batch.cat_codes[:, j]))
-            untouched = np.setdiff1d(np.arange(arr.shape[0]), touched)
-            assert np.all(g[untouched] == 0.0), f"{name}: unused rows must have zero gradient"
-            coords = [(r, c) for r in touched for c in range(arr.shape[1])]
+            touched = grads[name].rows
+            assert np.array_equal(touched, np.unique(batch.cat_codes[:, j])), \
+                f"{name}: the gradient must cover exactly the rows looked up"
+            coords = [(r, c) for r in touched.tolist() for c in range(arr.shape[1])]
         else:
             coords = list(np.ndindex(arr.shape))
         block_worst = 0.0
@@ -72,6 +73,15 @@ def relative_errors(
             block_worst = max(block_worst, rel)
         worst[name] = block_worst
     return worst
+
+
+def densify(grad: np.ndarray | RowGrad, shape: tuple[int, ...]) -> np.ndarray:
+    """A gradient as a full array of its block's shape."""
+    if not isinstance(grad, RowGrad):
+        return grad
+    dense = np.zeros(shape, dtype=grad.values.dtype)
+    dense[grad.rows] = grad.values
+    return dense
 
 
 def max_relative_error(params: NetworkParams, batch: PreparedDataset, h: float = 1e-4) -> float:

@@ -13,7 +13,7 @@ import pytest
 from adinstall import cli, ingest, training
 from adinstall.cli import _read_predictions, main
 from adinstall.errors import DataFormatError
-from adinstall.network import load_params, save_params
+from adinstall.network import RowGrad, load_params, save_params
 
 FAST = [
     "--rows", "700", "--test-rows", "120", "--cat-vocabs", "6,10",
@@ -281,7 +281,9 @@ def test_train_fails_when_the_retrain_diverges(workspace, capsys, monkeypatch):
         real_backward = training.backward
 
         def poisoned(*a, **k):
-            return {name: np.full_like(g, np.nan) for name, g in real_backward(*a, **k).items()}
+            return {name: g._replace(values=np.full_like(g.values, np.nan))
+                    if isinstance(g, RowGrad) else np.full_like(g, np.nan)
+                    for name, g in real_backward(*a, **k).items()}
 
         monkeypatch.setattr(training, "backward", poisoned)
         return real_retrain(*args, **kwargs)

@@ -5,10 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from adinstall.network import NetworkConfig, backward, init_network
+from adinstall.network import NetworkConfig, RowGrad, backward, init_network
 
 from conftest import make_batch
-from gradcheck import max_relative_error, prepare_check_point, small_config, weighted_bce
+from gradcheck import densify, max_relative_error, prepare_check_point, small_config, weighted_bce
 
 
 @pytest.mark.parametrize(
@@ -33,9 +33,12 @@ def test_unused_embedding_rows_get_zero_gradient(rng):
     for j, col in enumerate(cfg.cat_columns):
         used = set(int(c) for c in batch.cat_codes[:, j])
         g = grads[f"emb.{col}"]
-        for row in range(g.shape[0]):
+        assert isinstance(g, RowGrad) and g.values.shape == (len(used), cfg.embedding_widths[j])
+        assert g.rows.tolist() == sorted(used)
+        dense = densify(g, params.blocks[f"emb.{col}"].shape)
+        for row in range(dense.shape[0]):
             if row not in used:
-                assert np.all(g[row] == 0.0)
+                assert np.all(dense[row] == 0.0)
 
 
 def test_duplicated_trunk_heads_are_independent(rng):
@@ -70,11 +73,13 @@ def test_freeze_missing_row_zeroes_row_zero(rng):
     batch = make_batch(rng, cfg_frozen, 8)
     batch.cat_codes[:, 0] = 0  # every row looks up the reserved code
     grads = backward(params, batch, batch.labels)
-    assert np.all(grads["emb.c0"][0] == 0.0)
+    assert grads["emb.c0"].rows.tolist() == [0]
+    assert np.all(grads["emb.c0"].values == 0.0)
 
     unfrozen_params = init_network(cfg)
     grads_unfrozen = backward(unfrozen_params, batch, batch.labels)
-    assert np.any(grads_unfrozen["emb.c0"][0] != 0.0)
+    assert grads_unfrozen["emb.c0"].rows.tolist() == [0]
+    assert np.any(grads_unfrozen["emb.c0"].values != 0.0)
 
 
 def test_frozen_heads_argument(rng):

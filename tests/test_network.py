@@ -9,7 +9,9 @@ import pytest
 from adinstall.errors import ArtifactError, PipelineMismatchError
 from adinstall.network import (
     NetworkConfig,
+    RowGrad,
     _forward,
+    backward,
     block_specs,
     embedding_width_rule,
     forward,
@@ -381,3 +383,22 @@ def test_taped_pass_keeps_only_the_concat_and_layer_outputs(rng):
     concat, *outputs = acts["shared"]
     assert concat.shape == (2000, cfg.concat_width) and len(outputs) == 6
     assert peak < concat.nbytes + 7 * outputs[0].nbytes
+
+
+def test_backward_holds_one_concat_wide_gradient(rng):
+    # the first layer's input gradient becomes the concat-wide gradient, with
+    # no zero-filled copy beside it, and each layer output goes once its mask
+    # and weight gradient are formed
+    cfg = small_config(vocab_sizes=(300, 300), trunk=(64, 32))
+    params = init_network(cfg)
+    batch = make_batch(rng, cfg, 2000)
+    acts = {}
+    _forward(params, batch, acts)
+    concat, *outputs = acts["shared"]
+    bound = 2 * concat.nbytes + sum(out.nbytes for out in outputs)
+    del acts, concat, outputs
+    grads = {}
+    peak = traced_peak(lambda: grads.update(backward(params, batch, batch.labels)))
+    returned = sum(g.rows.nbytes + g.values.nbytes if isinstance(g, RowGrad) else g.nbytes
+                   for g in grads.values())
+    assert peak < bound + returned
