@@ -27,6 +27,9 @@ from .errors import ArtifactError, PipelineMismatchError
 from .prep import PreparedDataset
 
 EMBED_CAP = 256
+# elements per chunk of the embedding scatter-add; its flat indices, its
+# values and numpy's broadcast buffer take 128 KiB each (f64) at any batch size
+SCATTER_CHUNK = 16384
 MODEL_MAGIC = b"ADNM"
 MODEL_VERSION = 1
 
@@ -198,7 +201,7 @@ class NetworkParams:
 def _glorot(rng: np.random.Generator, shape: tuple[int, ...], dtype) -> np.ndarray:
     fan_in, fan_out = shape[0], shape[1]
     bound = np.sqrt(6.0 / (fan_in + fan_out)) if (fan_in + fan_out) else 0.0
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return rng.uniform(-bound, bound, size=shape).astype(dtype, copy=False)
 
 
 def init_network(config: NetworkConfig) -> NetworkParams:
@@ -215,7 +218,7 @@ def init_network(config: NetworkConfig) -> NetworkParams:
     for name, shape in block_specs(config):
         kind = name.rsplit(".", 1)[-1]
         if name.startswith("emb."):
-            blocks[name] = rng.uniform(-0.05, 0.05, size=shape).astype(dtype)
+            blocks[name] = rng.uniform(-0.05, 0.05, size=shape).astype(dtype, copy=False)
         elif kind == "b":
             blocks[name] = np.zeros(shape, dtype=dtype)
         elif name.startswith("head.") and name.split(".")[1] in config.zero_init_heads:
@@ -275,7 +278,9 @@ def _trunk_input(params: NetworkParams, batch: PreparedDataset) -> np.ndarray:
     concat = np.empty((batch.n_rows, config.concat_width), dtype)
     offset = 0
     for j, (col, m) in enumerate(zip(config.cat_columns, config.embedding_widths)):
-        np.take(b[f"emb.{col}"], batch.cat_codes[:, j], axis=0, out=concat[:, offset : offset + m])
+        # numpy gathers into a temporary and copies it into the column slice
+        # either way; plain indexing does both faster than np.take(out=...)
+        concat[:, offset : offset + m] = b[f"emb.{col}"][batch.cat_codes[:, j]]
         offset += m
     bin_pre = batch.binary.astype(dtype) @ b["bin.w"] + b["bin.b"]
     np.maximum(bin_pre, 0.0, out=concat[:, offset : offset + config.binary_width])
@@ -331,6 +336,24 @@ def forward(params: NetworkParams, batch: PreparedDataset) -> np.ndarray:
 
     Keeps nothing for a backward pass."""
     return _forward(params, batch)
+
+
+def _scatter_add(values: np.ndarray, inverse: np.ndarray, grad: np.ndarray) -> None:
+    """``values[inverse[i]] += grad[i]`` for every row ``i``, in row order.
+
+    numpy's ``ufunc.at`` has a fast loop only for a 1-D target with 1-D
+    indices and values, so each chunk of about ``SCATTER_CHUNK`` elements
+    goes in by flat index. Every element still receives its rows one at a
+    time in increasing ``i``, as a 2-D ``np.add.at(values, inverse, grad)``
+    adds them, so the sums are the same bits.
+    """
+    n, m = grad.shape
+    flat = values.reshape(-1)
+    cols = np.arange(m)
+    step = max(1, SCATTER_CHUNK // m)
+    for lo in range(0, n, step):
+        at = inverse[lo : lo + step, None] * m + cols
+        np.add.at(flat, at.reshape(-1), grad[lo : lo + step].reshape(-1))
 
 
 class RowGrad(NamedTuple):
@@ -428,7 +451,7 @@ def backward(
     for j, (col, m) in enumerate(zip(config.cat_columns, config.embedding_widths)):
         rows, inverse = np.unique(batch.cat_codes[:, j], return_inverse=True)
         values = np.zeros((rows.size, m), dtype=config.np_dtype)
-        np.add.at(values, inverse, d_concat[:, offset : offset + m])
+        _scatter_add(values, inverse, d_concat[:, offset : offset + m])
         if config.freeze_missing_row:
             values[rows == 0] = 0.0
         grads[f"emb.{col}"] = RowGrad(rows, values)
@@ -468,12 +491,13 @@ def save_params(
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
         for arr in params.blocks.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").data)
 
 
 def load_params(path: str | Path) -> tuple[NetworkParams, str | None]:
     """Read a model artifact; returns (params, pipeline_hash)."""
     raw = Path(path).read_bytes()
+    view = memoryview(raw)  # block slices share raw's buffer instead of copying it
     if raw[:4] != MODEL_MAGIC:
         raise ArtifactError(f"{path}: not a model artifact")
     version = struct.unpack("<I", raw[4:8])[0]
@@ -500,7 +524,7 @@ def load_params(path: str | Path) -> tuple[NetworkParams, str | None]:
         end = cursor + 8 * count
         if end > len(raw):
             raise ArtifactError(f"{path}: truncated block {name!r}")
-        arr = np.frombuffer(raw[cursor:end], dtype="<f8").reshape(shape)
+        arr = np.frombuffer(view[cursor:end], dtype="<f8").reshape(shape)
         blocks[name] = arr.astype(config.np_dtype)
         cursor = end
     if cursor != len(raw):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -316,9 +317,15 @@ class PrepConfig:
 
 @dataclass(frozen=True)
 class PreparedDataset:
-    """Model-ready blocks: no missing cells, codes in 0..n, numericals in [0, 1]."""
+    """Model-ready blocks: no missing cells, codes in 0..n, numericals in [0, 1].
 
-    row_ids: tuple[str, ...]
+    ``source_row_ids`` are the row ids of the rows, or, for a dataset taken
+    at an index array, those of the dataset it was taken from, with
+    ``source_rows`` the positions of its rows there. ``row_ids`` is built on
+    first read, so a training batch, which never reads it, never builds it.
+    """
+
+    source_row_ids: tuple[str, ...]
     cat_names: tuple[str, ...]
     cat_codes: np.ndarray  # (n, C) int64
     bin_names: tuple[str, ...]
@@ -328,20 +335,27 @@ class PreparedDataset:
     label_names: tuple[str, ...]
     labels: np.ndarray | None  # (n, L) float64 in {0, 1}, or None
     unseen_counts: dict[str, int] = field(default_factory=dict)
+    source_rows: np.ndarray | None = None  # None: every source row, in order
+
+    @cached_property
+    def row_ids(self) -> tuple[str, ...]:
+        if self.source_rows is None:
+            return self.source_row_ids
+        return tuple(map(self.source_row_ids.__getitem__, self.source_rows.tolist()))
 
     @property
     def n_rows(self) -> int:
-        return len(self.row_ids)
+        return len(self.cat_codes)
 
     def take(self, indices: np.ndarray | slice) -> "PreparedDataset":
         """The rows at ``indices``: copies for an index array, views for a slice."""
         if isinstance(indices, slice):
-            idx, row_ids = indices, self.row_ids[indices]
+            idx, ids, rows = indices, self.row_ids[indices], None
         else:
-            idx = np.asarray(indices)
-            row_ids = tuple(self.row_ids[i] for i in idx)
+            idx = rows = np.array(indices)  # a copy: row_ids reads it later
+            ids = self.row_ids
         return PreparedDataset(
-            row_ids=row_ids,
+            source_row_ids=ids,
             cat_names=self.cat_names,
             cat_codes=self.cat_codes[idx],
             bin_names=self.bin_names,
@@ -351,6 +365,7 @@ class PreparedDataset:
             label_names=self.label_names,
             labels=None if self.labels is None else self.labels[idx],
             unseen_counts=dict(self.unseen_counts),
+            source_rows=rows,
         )
 
     def label_matrix(self, heads: tuple[str, ...]) -> np.ndarray:
@@ -435,7 +450,7 @@ class PrepPipeline:
 
         labels = table.labels.astype(np.float64) if table.label_names else None
         prepared = PreparedDataset(
-            row_ids=table.row_ids,
+            source_row_ids=table.row_ids,
             cat_names=self.cat_names,
             cat_codes=codes,
             bin_names=self.bin_names,

@@ -6,11 +6,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from adinstall import network
 from adinstall.errors import ArtifactError, PipelineMismatchError
 from adinstall.network import (
+    SCATTER_CHUNK,
     NetworkConfig,
     RowGrad,
     _forward,
+    _scatter_add,
+    _trunk_input,
     backward,
     block_specs,
     embedding_width_rule,
@@ -129,7 +133,7 @@ def test_hand_computed_tiny_network():
     expected = 1.0 / (1.0 + math.exp(-(float(hidden @ w2) + b2)))
 
     batch = PreparedDataset(
-        row_ids=("0",),
+        source_row_ids=("0",),
         cat_names=(),
         cat_codes=np.zeros((1, 0), dtype=np.int64),
         bin_names=(),
@@ -169,7 +173,7 @@ def test_out_of_range_code_rejected(rng):
     bad = batch.cat_codes.copy()
     bad[0, 0] = cfg.vocab_sizes[0] + 1
     broken = PreparedDataset(
-        row_ids=batch.row_ids,
+        source_row_ids=batch.row_ids,
         cat_names=batch.cat_names,
         cat_codes=bad,
         bin_names=batch.bin_names,
@@ -203,7 +207,7 @@ def test_one_head_two_head_consistency(rng):
     p_one, p_two = init_network(one), init_network(two)
     batch = make_batch(np.random.default_rng(5), one, 13)
     two_batch = PreparedDataset(
-        row_ids=batch.row_ids,
+        source_row_ids=batch.row_ids,
         cat_names=batch.cat_names,
         cat_codes=batch.cat_codes,
         bin_names=batch.bin_names,
@@ -402,3 +406,84 @@ def test_backward_holds_one_concat_wide_gradient(rng):
     returned = sum(g.rows.nbytes + g.values.nbytes if isinstance(g, RowGrad) else g.nbytes
                    for g in grads.values())
     assert peak < bound + returned
+
+
+# ---------------------------------------------------------------------------
+# embedding kernels
+# ---------------------------------------------------------------------------
+
+
+def add_at_2d(values, inverse, grad):
+    """The reference scatter: numpy's 2-D ``add.at`` over whole rows."""
+    np.add.at(values, inverse, grad)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("m", [1, 12, 256])
+def test_scatter_add_matches_a_two_d_add_at_bitwise(rng, dtype, m):
+    # each element receives its rows one at a time, in row order, from a
+    # zero start, so even 0.0 + -0.0 gives the same bits
+    n = 3 * (SCATTER_CHUNK // m) + 5  # three whole chunks and a short one
+    codes = np.minimum(rng.zipf(1.5, n), 40)
+    wide = rng.normal(size=(n, m + 3)).astype(dtype)
+    wide[rng.random(n) < 0.2] = -0.0
+    wide[codes == 7] = -0.0  # a row that receives nothing but -0.0
+    grad = wide[:, 1 : m + 1]  # a column slice, as backward passes it
+    rows, inverse = np.unique(codes, return_inverse=True)
+    assert 7 in rows and rows.size < n / 2
+    values = np.zeros((rows.size, m), dtype)
+    _scatter_add(values, inverse, grad)
+    expected = np.zeros_like(values)
+    add_at_2d(expected, inverse, grad)
+    assert values.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
+@pytest.mark.parametrize("freeze_missing_row", [True, False])
+def test_backward_embedding_gradients_match_a_two_d_add_at(rng, monkeypatch, dtype,
+                                                           freeze_missing_row):
+    # widths 1, 12 and 256; 3,000 rows is no multiple of any chunk's rows
+    cfg = small_config(cat_columns=("c0", "c1", "c2"), vocab_sizes=(1, 12, 300),
+                       dtype=dtype, freeze_missing_row=freeze_missing_row)
+    assert cfg.embedding_widths == (1, 12, 256)
+    params = randomized(cfg, rng)
+    batch = make_batch(rng, cfg, 3000)
+    grads = backward(params, batch, batch.labels)
+    monkeypatch.setattr(network, "_scatter_add", add_at_2d)
+    expected = backward(params, batch, batch.labels)
+    assert list(grads) == list(expected)
+    for name, g in grads.items():
+        if isinstance(g, RowGrad):
+            assert g.rows.tobytes() == expected[name].rows.tobytes(), name
+            assert 0 in g.rows and g.rows.size < batch.n_rows
+            g, want = g.values, expected[name].values
+            assert not freeze_missing_row or not want[0].any()
+        else:
+            want = expected[name]
+        assert g.dtype == want.dtype and g.tobytes() == want.tobytes(), name
+
+
+@pytest.mark.parametrize("dtype", ["f64", "f32"])
+def test_embedding_gather_equals_take(rng, dtype):
+    cfg = small_config(dtype=dtype)
+    params = randomized(cfg, rng)
+    batch = make_batch(rng, cfg, 500)
+    concat = _trunk_input(params, batch)
+    offset = 0
+    for j, (col, m) in enumerate(zip(cfg.cat_columns, cfg.embedding_widths)):
+        expected = np.take(params.blocks[f"emb.{col}"], batch.cat_codes[:, j], axis=0)
+        assert concat[:, offset : offset + m].tobytes() == expected.tobytes()
+        offset += m
+
+
+def test_scatter_add_transient_does_not_grow_with_the_batch(rng):
+    # one chunk's flat indices, its values and numpy's broadcast buffer for
+    # the indices at a time, whatever the batch
+    m, peaks = 256, []
+    for n in (4096, 32768):
+        rows, inverse = np.unique(rng.integers(0, 500, n), return_inverse=True)
+        grad = rng.normal(size=(n, m + 8))[:, 4 : m + 4]
+        values = np.zeros((rows.size, m))
+        peaks.append(traced_peak(lambda: _scatter_add(values, inverse, grad)))
+    assert peaks[1] <= 1.05 * peaks[0]
+    assert peaks[1] < 4 * SCATTER_CHUNK * 8
