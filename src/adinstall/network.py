@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -258,68 +259,102 @@ def _validate_batch(config: NetworkConfig, batch: PreparedDataset) -> None:
             f"batch has {batch.numeric.shape[1]} numerical columns, "
             f"model expects {config.n_numerical}"
         )
-    for j, n in enumerate(config.vocab_sizes):
-        col = batch.cat_codes[:, j]
-        if col.size and (col.min() < 0 or col.max() > n):
-            raise PipelineMismatchError(
-                f"categorical code out of range 0..{n} in column "
-                f"{config.cat_columns[j]!r}: preprocessing bug upstream"
-            )
 
 
-def _trunk_input(params: NetworkParams, batch: PreparedDataset) -> np.ndarray:
-    """Every embedding is gathered and both branch ReLUs are written straight
-    into one (n_rows, concat_width) buffer."""
+class _Lookup(NamedTuple):
+    """One table's share of a batch: its block, the span of rows it reads
+    in a first-layer weight, the sorted distinct codes of the batch, and each
+    row's position among them, so a row's embedding is ``table[rows][inverse]``."""
+
+    block: str
+    span: slice
+    rows: np.ndarray
+    inverse: np.ndarray
+
+
+class _Inputs(NamedTuple):
+    """The concatenated input rows in factored form: ``dense`` holds both
+    branch ReLU outputs, (n_rows, binary_width + numerical_width), and
+    ``lookups`` one :class:`_Lookup` per table. In a first-layer weight the
+    dense block's rows follow the last table's span."""
+
+    dense: np.ndarray
+    lookups: list[_Lookup]
+
+
+def _trunk_input(params: NetworkParams, batch: PreparedDataset) -> _Inputs:
+    """The dense block and each table's distinct codes; every code is checked
+    against its vocabulary from the ends of the sorted codes."""
     config = params.config
     _validate_batch(config, batch)
     b = params.blocks
     dtype = config.np_dtype
 
-    concat = np.empty((batch.n_rows, config.concat_width), dtype)
-    offset = 0
-    for j, (col, m) in enumerate(zip(config.cat_columns, config.embedding_widths)):
-        # numpy gathers into a temporary and copies it into the column slice
-        # either way; plain indexing does both faster than np.take(out=...)
-        concat[:, offset : offset + m] = b[f"emb.{col}"][batch.cat_codes[:, j]]
-        offset += m
-    bin_pre = batch.binary.astype(dtype) @ b["bin.w"] + b["bin.b"]
-    np.maximum(bin_pre, 0.0, out=concat[:, offset : offset + config.binary_width])
-    offset += config.binary_width
-    num_pre = batch.numeric.astype(dtype) @ b["num.w"] + b["num.b"]
-    np.maximum(num_pre, 0.0, out=concat[:, offset:])
-    return concat
+    lookups, lo = [], 0
+    for j, (col, n, m) in enumerate(
+        zip(config.cat_columns, config.vocab_sizes, config.embedding_widths)
+    ):
+        rows, inverse = np.unique(batch.cat_codes[:, j], return_inverse=True)
+        if rows.size and (rows[0] < 0 or rows[-1] > n):
+            raise PipelineMismatchError(
+                f"categorical code out of range 0..{n} in column "
+                f"{col!r}: preprocessing bug upstream"
+            )
+        lookups.append(_Lookup(f"emb.{col}", slice(lo, lo + m), rows, inverse))
+        lo += m
+    bw = config.binary_width
+    dense = np.empty((batch.n_rows, bw + config.numerical_width), dtype)
+    np.maximum(batch.binary.astype(dtype) @ b["bin.w"] + b["bin.b"], 0.0, out=dense[:, :bw])
+    np.maximum(batch.numeric.astype(dtype) @ b["num.w"] + b["num.b"], 0.0, out=dense[:, bw:])
+    return _Inputs(dense, lookups)
 
 
-def _head_probs(h: np.ndarray, blocks: dict[str, np.ndarray], head: str) -> np.ndarray:
-    z = h @ blocks[f"head.{head}.w"] + blocks[f"head.{head}.b"]
-    return _sigmoid(z.astype(np.float64))[:, 0]
+def _project(params: NetworkParams, inputs: _Inputs, name: str) -> np.ndarray:
+    """``concat @ w + b`` for the first linear map ``name`` (blocks
+    ``{name}.w`` and ``{name}.b``), without building the concat.
+
+    The dense block goes through its own rows of ``w``. Each table's touched
+    rows go through theirs once, and the projected rows are gathered per
+    batch row and added, so a table costs its distinct codes, not the batch.
+    """
+    b = params.blocks
+    w = b[f"{name}.w"]
+    dense, lookups = inputs
+    pre = dense @ w[w.shape[0] - dense.shape[1] :]
+    pre += b[f"{name}.b"]
+    gathered = np.empty_like(pre)
+    for t in lookups:
+        # every position is in range; mode="clip" spares the buffered copy
+        # that the default mode makes of ``out``
+        (b[t.block][t.rows] @ w[t.span]).take(t.inverse, axis=0, out=gathered, mode="clip")
+        pre += gathered
+    return pre
 
 
 def _forward(
     params: NetworkParams,
-    batch: PreparedDataset,
+    inputs: _Inputs,
     acts: dict[str, list[np.ndarray]] | None = None,
 ) -> np.ndarray:
     """Per-row, per-head probabilities; the one forward pass.
 
-    Each trunk layer overwrites its own output in place. Given ``acts``, the
-    pass records for each trunk group the concat buffer followed by every
-    layer's output, which is all ``backward`` reads: a ReLU's mask is where
-    its output is positive. Without it nothing is kept, and the concat buffer
-    is released once the last trunk group has read it.
+    Each trunk group's first layer reads the concat row through
+    :func:`_project`, and each later layer overwrites its own output in
+    place. Given ``acts``, the pass records for each trunk group every
+    layer's output, which with ``inputs`` is all ``backward`` reads: a
+    ReLU's mask is where its output is positive. Without it nothing is kept.
+    With an empty trunk each head's ``w`` is the first linear map.
     """
     config = params.config
     b = params.blocks
-    concat = _trunk_input(params, batch)
-    groups = config.trunk_groups()
-    probs = np.empty((batch.n_rows, len(config.heads)), dtype=np.float64)
-    for g, group in enumerate(groups):
-        h = concat
-        if acts is not None:
-            acts[group] = [h]
-        elif g == len(groups) - 1:
-            del concat  # h now holds the last reference
-        for i in range(len(config.trunk)):
+    probs = np.empty((inputs.dense.shape[0], len(config.heads)), dtype=np.float64)
+    for group in config.trunk_groups():
+        if config.trunk:
+            h = _project(params, inputs, f"trunk.{group}.0")
+            np.maximum(h, 0.0, out=h)
+            if acts is not None:
+                acts[group] = [h]
+        for i in range(1, len(config.trunk)):
             h = h @ b[f"trunk.{group}.{i}.w"]
             h += b[f"trunk.{group}.{i}.b"]
             np.maximum(h, 0.0, out=h)
@@ -327,7 +362,11 @@ def _forward(
                 acts[group].append(h)
         for k, head in enumerate(config.heads):
             if config.trunk_group_of(head) == group:
-                probs[:, k] = _head_probs(h, b, head)
+                if config.trunk:
+                    z = h @ b[f"head.{head}.w"] + b[f"head.{head}.b"]
+                else:
+                    z = _project(params, inputs, f"head.{head}")
+                probs[:, k] = _sigmoid(z.astype(np.float64))[:, 0]
     return probs
 
 
@@ -335,7 +374,7 @@ def forward(params: NetworkParams, batch: PreparedDataset) -> np.ndarray:
     """Per-row, per-head probabilities, shape (n_rows, n_heads), all in (0, 1).
 
     Keeps nothing for a backward pass."""
-    return _forward(params, batch)
+    return _forward(params, _trunk_input(params, batch))
 
 
 def _scatter_add(values: np.ndarray, inverse: np.ndarray, grad: np.ndarray) -> None:
@@ -368,6 +407,65 @@ class RowGrad(NamedTuple):
     values: np.ndarray
 
 
+def _project_backward(
+    params: NetworkParams,
+    batch: PreparedDataset,
+    inputs: _Inputs,
+    firsts: list[tuple[str, np.ndarray, bool]],
+    grads: dict[str, np.ndarray | RowGrad],
+) -> None:
+    """Gradients through the first linear maps into the embeddings and branches.
+
+    ``firsts`` holds each first map that the loss reaches: its name, the
+    gradient ``dpre`` at its output, and whether its own blocks take one.
+    Per table, ``dpre`` is summed by code into a (touched rows × width)
+    block ``s``; then the map's weight gradient on the table's span is
+    ``table[rows].T @ s`` and the table's row gradient is ``s @ w[span].T``.
+    Only the dense block gets a per-row input gradient.
+    """
+    config, b = params.config, params.blocks
+    dense, lookups = inputs
+    e = config.concat_width - dense.shape[1]
+    d_dense = None
+    for name, dpre, own in firsts:
+        w = b[f"{name}.w"]
+        if own:
+            grads[f"{name}.w"] = np.empty_like(w)
+            np.matmul(dense.T, dpre, out=grads[f"{name}.w"][e:])
+            grads[f"{name}.b"] = dpre.sum(axis=0)
+        d = dpre @ w[e:].T
+        if d_dense is None:
+            d_dense = d
+        else:
+            d_dense += d
+
+    for t in lookups:
+        table = b[t.block][t.rows]
+        values = None if firsts else np.zeros_like(table)
+        for name, dpre, own in firsts:
+            s = np.zeros((t.rows.size, dpre.shape[1]), dtype=config.np_dtype)
+            _scatter_add(s, t.inverse, dpre)
+            if own:
+                np.matmul(table.T, s, out=grads[f"{name}.w"][t.span])
+            v = s @ b[f"{name}.w"][t.span].T
+            if values is None:
+                values = v
+            else:
+                values += v
+        if config.freeze_missing_row:
+            values[t.rows == 0] = 0.0
+        grads[t.block] = RowGrad(t.rows, values)
+
+    if d_dense is None:  # every first map cut off
+        d_dense = np.zeros_like(dense)
+    d_dense *= dense > 0
+    bw = config.binary_width
+    grads["bin.w"] = batch.binary.astype(config.np_dtype).T @ d_dense[:, :bw]
+    grads["bin.b"] = d_dense[:, :bw].sum(axis=0)
+    grads["num.w"] = batch.numeric.astype(config.np_dtype).T @ d_dense[:, bw:]
+    grads["num.b"] = d_dense[:, bw:].sum(axis=0)
+
+
 def backward(
     params: NetworkParams,
     batch: PreparedDataset,
@@ -379,22 +477,23 @@ def backward(
     The loss is the weighted sum over heads of each head's mean binary
     cross-entropy, ``sum_k w_k * mean_i -(y_ik log p_ik + (1 - y_ik) log(1 - p_ik))``
     with ``w = config.loss_weights``. At each sigmoid head the pre-activation gradient is
-    ``weight * (p - y) / n_rows``. An embedding gradient is a :class:`RowGrad`:
-    gradients are scatter-added per looked-up row into a block of the rows the
-    batch touched, and every other row's gradient is zero. Heads in
+    ``weight * (p - y) / n_rows``. An embedding gradient is a :class:`RowGrad`
+    on the rows the batch touched; every other row's gradient is zero. Heads in
     ``frozen_heads`` (union of the config's freeze set and the argument)
     contribute no gradient to their own blocks; with duplicated trunks a
     frozen head is cut off entirely, so not even the shared branches and
     embeddings see its loss. A block that receives no gradient has no key
     in the result, so an optimizer step leaves it and its moments alone.
 
-    One concat-wide gradient is held beside the concat buffer: the first trunk
-    group's input gradient becomes it and a second group adds into it, and
-    each layer output is released once its mask and weight gradient are formed.
+    No array as wide as the concat row is formed: the gradient stops at each
+    trunk group's first layer (each head's ``w`` when the trunk is empty) and
+    goes on per table through :func:`_project_backward`. Each layer output is
+    released once its mask and weight gradient are formed.
     """
     config = params.config
+    inputs = _trunk_input(params, batch)
     acts: dict[str, list[np.ndarray]] = {}
-    probs = _forward(params, batch, acts)
+    probs = _forward(params, inputs, acts)
     b = params.blocks
     n = batch.n_rows
     y = np.asarray(labels, dtype=np.float64)
@@ -406,6 +505,7 @@ def backward(
 
     grads: dict[str, np.ndarray | RowGrad] = {}
     weights = config.loss_weights
+    firsts: list[tuple[str, np.ndarray, bool]] = []  # see _project_backward
 
     # Each gradient below is summed without a zero-filled array to start
     # from, so a -0.0 that 0.0 + x would turn into +0.0 stays -0.0. That
@@ -414,7 +514,12 @@ def backward(
     # is never -0.0, so no bit of either changes.
     d_out: dict[str, np.ndarray] = {}  # gradient at each trunk group's output
     for k, head in enumerate(config.heads):
+        if head in frozen and config.trunk_sharing == "duplicated":
+            continue  # its own trunk copy is cut off with it
         dz = (weights[k] * (probs[:, k] - y[:, k]) / n)[:, None].astype(config.np_dtype)
+        if not config.trunk:
+            firsts.append((f"head.{head}", dz, head not in frozen))
+            continue
         group = config.trunk_group_of(head)
         if head not in frozen:
             grads[f"head.{head}.w"] = acts[group][-1].T @ dz
@@ -425,47 +530,19 @@ def backward(
         else:
             d_out[group] = d_in
 
-    concat = acts[config.trunk_groups()[0]][0]
-    d_concat = None
-    for group in config.trunk_groups():
+    for group, dh in d_out.items():
         layers = acts.pop(group)
-        dh = d_out.pop(group)
-        if config.trunk_sharing == "duplicated" and all(
-            h in frozen for h in config.heads if config.trunk_group_of(h) == group
-        ):
-            continue
-        for i in reversed(range(len(config.trunk))):
+        for i in reversed(range(1, len(config.trunk))):
             dh *= layers.pop() > 0  # now the gradient at the layer's pre-activation
             grads[f"trunk.{group}.{i}.w"] = layers[-1].T @ dh
             grads[f"trunk.{group}.{i}.b"] = dh.sum(axis=0)
             dh = dh @ b[f"trunk.{group}.{i}.w"].T
-        if d_concat is None:
-            d_concat = dh
-        else:
-            d_concat += dh
-    del layers, dh
-    if d_concat is None:  # every trunk group cut off
-        d_concat = np.zeros_like(concat)
+        dh *= layers.pop() > 0
+        firsts.append((f"trunk.{group}.0", dh, True))
+    acts.clear()  # a cut-off group's outputs
+    del d_out
 
-    offset = 0
-    for j, (col, m) in enumerate(zip(config.cat_columns, config.embedding_widths)):
-        rows, inverse = np.unique(batch.cat_codes[:, j], return_inverse=True)
-        values = np.zeros((rows.size, m), dtype=config.np_dtype)
-        _scatter_add(values, inverse, d_concat[:, offset : offset + m])
-        if config.freeze_missing_row:
-            values[rows == 0] = 0.0
-        grads[f"emb.{col}"] = RowGrad(rows, values)
-        offset += m
-
-    span = slice(offset, offset + config.binary_width)
-    dbin = d_concat[:, span] * (concat[:, span] > 0)
-    grads["bin.w"] = batch.binary.astype(config.np_dtype).T @ dbin
-    grads["bin.b"] = dbin.sum(axis=0)
-    offset += config.binary_width
-
-    dnum = d_concat[:, offset:] * (concat[:, offset:] > 0)
-    grads["num.w"] = batch.numeric.astype(config.np_dtype).T @ dnum
-    grads["num.b"] = dnum.sum(axis=0)
+    _project_backward(params, batch, inputs, firsts, grads)
     return {name: grads[name] for name in b if name in grads}
 
 
@@ -495,38 +572,37 @@ def save_params(
 
 
 def load_params(path: str | Path) -> tuple[NetworkParams, str | None]:
-    """Read a model artifact; returns (params, pipeline_hash)."""
-    raw = Path(path).read_bytes()
-    view = memoryview(raw)  # block slices share raw's buffer instead of copying it
-    if raw[:4] != MODEL_MAGIC:
-        raise ArtifactError(f"{path}: not a model artifact")
-    version = struct.unpack("<I", raw[4:8])[0]
-    if version != MODEL_VERSION:
-        raise ArtifactError(f"{path}: unsupported model version {version}")
-    header_len = struct.unpack("<Q", raw[8:16])[0]
-    try:
-        header = json.loads(raw[16 : 16 + header_len].decode())
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ArtifactError(f"{path}: corrupt model header: {exc}") from exc
-    config = NetworkConfig.from_dict(header["config"])
-    if config.content_hash() != header["config_hash"]:
-        raise ArtifactError(f"{path}: config hash mismatch; artifact corrupt")
+    """Read a model artifact; returns (params, pipeline_hash).
 
-    expected = block_specs(config)
-    stored = [(name, tuple(shape)) for name, shape in header["blocks"]]
-    if stored != expected:
-        raise ArtifactError(f"{path}: block layout does not match the config")
+    Each block is read straight into its own array, so loading holds the
+    model once, not the file beside it."""
+    with open(path, "rb") as fh:
+        preamble = fh.read(16)
+        if len(preamble) < 16 or preamble[:4] != MODEL_MAGIC:
+            raise ArtifactError(f"{path}: not a model artifact")
+        version, header_len = struct.unpack("<IQ", preamble[4:])
+        if version != MODEL_VERSION:
+            raise ArtifactError(f"{path}: unsupported model version {version}")
+        try:
+            header = json.loads(fh.read(header_len).decode())
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ArtifactError(f"{path}: corrupt model header: {exc}") from exc
+        config = NetworkConfig.from_dict(header["config"])
+        if config.content_hash() != header["config_hash"]:
+            raise ArtifactError(f"{path}: config hash mismatch; artifact corrupt")
 
-    blocks: dict[str, np.ndarray] = {}
-    cursor = 16 + header_len
-    for name, shape in expected:
-        count = int(np.prod(shape)) if shape else 1
-        end = cursor + 8 * count
-        if end > len(raw):
-            raise ArtifactError(f"{path}: truncated block {name!r}")
-        arr = np.frombuffer(view[cursor:end], dtype="<f8").reshape(shape)
-        blocks[name] = arr.astype(config.np_dtype)
-        cursor = end
-    if cursor != len(raw):
-        raise ArtifactError(f"{path}: {len(raw) - cursor} trailing bytes after last block")
+        expected = block_specs(config)
+        stored = [(name, tuple(shape)) for name, shape in header["blocks"]]
+        if stored != expected:
+            raise ArtifactError(f"{path}: block layout does not match the config")
+
+        blocks: dict[str, np.ndarray] = {}
+        for name, shape in expected:
+            arr = np.empty(shape, dtype="<f8")
+            if fh.readinto(arr) != arr.nbytes:
+                raise ArtifactError(f"{path}: truncated block {name!r}")
+            blocks[name] = arr.astype(config.np_dtype, copy=False)
+        trailing = os.fstat(fh.fileno()).st_size - fh.tell()
+    if trailing:
+        raise ArtifactError(f"{path}: {trailing} trailing bytes after last block")
     return NetworkParams(config=config, blocks=blocks), header["pipeline_hash"]

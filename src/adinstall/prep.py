@@ -350,7 +350,11 @@ class PreparedDataset:
     def take(self, indices: np.ndarray | slice) -> "PreparedDataset":
         """The rows at ``indices``: copies for an index array, views for a slice."""
         if isinstance(indices, slice):
-            idx, ids, rows = indices, self.row_ids[indices], None
+            idx = indices
+            if self.source_rows is None:
+                ids, rows = self.source_row_ids[indices], None
+            else:  # a view of the positions, so row_ids stays unbuilt
+                ids, rows = self.source_row_ids, self.source_rows[indices]
         else:
             idx = rows = np.array(indices)  # a copy: row_ids reads it later
             ids = self.row_ids

@@ -19,9 +19,12 @@ from .network import NetworkConfig, NetworkParams, backward, forward, init_netwo
 from .optim import OptimizerState, optimizer_step
 from .prep import PreparedDataset
 
-# bytes a scoring batch may take for its concat buffer plus the widest array
-# beside it (a trunk output, or the buffer numpy gathers an embedding into);
-# the rows per batch follow from the model's widths and dtype
+# bytes a scoring batch may take: its dense block (both branch outputs), one
+# embedding row per batch row (a table's looked-up rows, which are never more
+# than the batch's), and three arrays as wide as the widest layer: the first
+# layer's pre-activation, the buffer a table's projected rows are gathered
+# into and those projected rows, or later a layer's input beside its output.
+# The rows per batch follow from the model's widths and dtype.
 EVAL_BATCH_BYTES = 32 << 20
 # scoring batches are a multiple of this many rows, and never fewer
 EVAL_ROW_ALIGN = 64
@@ -168,8 +171,10 @@ def split_train_val(
 def eval_batch_rows(config: NetworkConfig) -> int:
     """Rows per scoring batch under ``EVAL_BATCH_BYTES``: a multiple of
     ``EVAL_ROW_ALIGN``, and at least that many."""
-    widest = max((*config.trunk, *config.embedding_widths), default=0)
-    row_bytes = config.np_dtype.itemsize * (config.concat_width + widest)
+    dense = config.binary_width + config.numerical_width
+    widest = max(config.trunk, default=1)
+    table = max(config.embedding_widths, default=0)
+    row_bytes = config.np_dtype.itemsize * (dense + table + 3 * widest)
     return max(1, EVAL_BATCH_BYTES // row_bytes // EVAL_ROW_ALIGN) * EVAL_ROW_ALIGN
 
 

@@ -13,6 +13,7 @@ from adinstall.network import (
     NetworkConfig,
     RowGrad,
     _forward,
+    _project,
     _scatter_add,
     _trunk_input,
     backward,
@@ -25,6 +26,7 @@ from adinstall.network import (
 )
 from adinstall.prep import PreparedDataset
 
+import reference_network
 from conftest import make_batch
 from gradcheck import weighted_bce
 
@@ -290,6 +292,16 @@ def test_params_artifact_corruption(tmp_path):
         load_params(tmp_path / "trailing.bin")
 
 
+def test_loading_holds_the_model_once(tmp_path):
+    # each block is read straight into its array, so no copy of the file
+    # lives beside the blocks
+    path = tmp_path / "model.bin"
+    save_params(init_network(small_config(vocab_sizes=(4, 4200))), path)
+    size = path.stat().st_size
+    assert size >= 8 << 20
+    assert traced_peak(lambda: load_params(path)) < 1.2 * size
+
+
 def test_block_specs_order_is_stable():
     cfg = small_config(heads=("is_installed", "is_clicked"), trunk_sharing="duplicated")
     names = [name for name, _ in block_specs(cfg)]
@@ -319,7 +331,9 @@ def randomized(cfg: NetworkConfig, rng: np.random.Generator):
     return params
 
 
-@pytest.mark.parametrize("overrides", [
+# one head, f32, an empty trunk, two shared heads, and duplicated trunks in
+# f64, f32 and empty
+FORWARD_CONFIGS = [
     dict(),
     dict(trunk=(7, 3), dtype="f32"),
     dict(trunk=()),
@@ -327,7 +341,10 @@ def randomized(cfg: NetworkConfig, rng: np.random.Generator):
     dict(heads=("is_installed", "is_clicked"), trunk_sharing="duplicated", trunk=(7, 3)),
     dict(heads=("is_installed", "is_clicked"), trunk_sharing="duplicated", dtype="f32"),
     dict(heads=("is_installed", "is_clicked"), trunk_sharing="duplicated", trunk=()),
-])
+]
+
+
+@pytest.mark.parametrize("overrides", FORWARD_CONFIGS)
 def test_forward_matches_the_training_forward_bitwise(rng, overrides):
     # recording activations for backward must not change a single bit
     cfg = small_config(**overrides)
@@ -335,7 +352,42 @@ def test_forward_matches_the_training_forward_bitwise(rng, overrides):
     batch = make_batch(rng, cfg, 300)
     probs = forward(params, batch)
     assert probs.dtype == np.float64 and probs.shape == (300, len(cfg.heads))
-    assert probs.tobytes() == _forward(params, batch, acts={}).tobytes()
+    assert probs.tobytes() == _forward(params, _trunk_input(params, batch), acts={}).tobytes()
+
+
+def within(got: np.ndarray, want: np.ndarray, tol: float) -> bool:
+    """``got`` differs from ``want`` by at most ``tol`` times want's largest magnitude."""
+    return got.shape == want.shape and np.abs(got - want).max(initial=0.0) <= tol * np.abs(
+        want).max(initial=0.0)
+
+
+TWO = ("is_installed", "is_clicked")
+
+
+@pytest.mark.parametrize("overrides", FORWARD_CONFIGS + [
+    dict(heads=TWO, trunk_sharing="duplicated", trunk=(7, 3), freeze_heads=frozenset({TWO[1]})),
+    dict(heads=TWO, trunk_sharing="duplicated", trunk=(7, 3), freeze_heads=frozenset(TWO)),
+    dict(heads=TWO, trunk=(), freeze_heads=frozenset({TWO[0]})),
+    dict(trunk=(7, 3), freeze_missing_row=False),
+    dict(trunk=(7, 3), freeze_missing_row=False, dtype="f32"),
+])
+def test_projected_pass_matches_the_gather_then_matmul_oracle(rng, overrides):
+    # projecting touched rows sums in another order than multiplying the
+    # concat buffer, so the two agree to rounding, not to the bit
+    cfg = small_config(**overrides)
+    tol = 1e-12 if cfg.dtype == "f64" else 1e-5
+    params = randomized(cfg, rng)
+    batch = make_batch(rng, cfg, 300)
+    assert within(forward(params, batch), reference_network.forward(params, batch), tol)
+    grads = backward(params, batch, batch.labels)
+    want = reference_network.backward(params, batch, batch.labels)
+    assert list(grads) == list(want)
+    for name, g in grads.items():
+        w = want[name]
+        if isinstance(w, RowGrad):
+            assert g.rows.tobytes() == w.rows.tobytes(), name
+            g, w = g.values, w.values
+        assert g.dtype == w.dtype and within(g, w, tol), name
 
 
 def test_forward_leaves_params_and_batch_unchanged(rng):
@@ -376,31 +428,49 @@ def test_forward_memory_does_not_grow_with_depth(rng):
     assert peaks[1] <= 1.05 * peaks[0]
 
 
-def test_taped_pass_keeps_only_the_concat_and_layer_outputs(rng):
-    # backward reads its ReLU masks from the outputs, so no pre-activation
-    # or per-layer input copy is kept beside them
+def lookup_bytes(inputs) -> int:
+    return sum(t.rows.nbytes + t.inverse.nbytes for t in inputs.lookups)
+
+
+def test_taped_pass_keeps_only_the_dense_block_and_layer_outputs(rng):
+    # backward reads its ReLU masks from the outputs, so no pre-activation,
+    # per-layer input copy or concat buffer is kept beside them; 256 KiB is
+    # room for the probabilities and numpy's small temporaries, and less
+    # than the 704 KB the concat buffer would take
     cfg = small_config(vocab_sizes=(3, 30), trunk=(256,) * 6)
     params = init_network(cfg)
     batch = make_batch(rng, cfg, 2000)
-    acts = {}
-    peak = traced_peak(lambda: _forward(params, batch, acts))
-    concat, *outputs = acts["shared"]
-    assert concat.shape == (2000, cfg.concat_width) and len(outputs) == 6
-    assert peak < concat.nbytes + 7 * outputs[0].nbytes
+    acts, kept = {}, []
+    peak = traced_peak(lambda: kept.append(_forward(params, _trunk_input(params, batch), acts)))
+    inputs = _trunk_input(params, batch)
+    outputs = acts["shared"]
+    assert len(outputs) == 6 and all(out.shape == (2000, 256) for out in outputs)
+    bound = inputs.dense.nbytes + lookup_bytes(inputs) + sum(out.nbytes for out in outputs)
+    assert peak < bound + (256 << 10)
 
 
-def test_backward_holds_one_concat_wide_gradient(rng):
-    # the first layer's input gradient becomes the concat-wide gradient, with
-    # no zero-filled copy beside it, and each layer output goes once its mask
-    # and weight gradient are formed
-    cfg = small_config(vocab_sizes=(300, 300), trunk=(64, 32))
+@pytest.mark.parametrize("sharing", ["shared", "duplicated"])
+def test_backward_holds_no_concat_wide_array(rng, sharing):
+    # beside the inputs and every layer output, backward holds two arrays as
+    # wide as the first trunk layer (the forward's gather buffer and the
+    # pre-activation it adds into; later, each trunk group's gradient there),
+    # per table two touched-rows blocks (the looked-up rows, and the summed
+    # gradient or a second group's row gradient) and the scatter's chunk
+    # buffers; the returned gradients come on top. Nothing is concat-wide,
+    # where a duplicated pair of trunks used to hold three such arrays.
+    heads = ("is_installed", "is_clicked") if sharing == "duplicated" else ("is_installed",)
+    cfg = small_config(vocab_sizes=(300, 300), trunk=(64, 32), heads=heads,
+                       trunk_sharing=sharing)
     params = init_network(cfg)
     batch = make_batch(rng, cfg, 2000)
-    acts = {}
-    _forward(params, batch, acts)
-    concat, *outputs = acts["shared"]
-    bound = 2 * concat.nbytes + sum(out.nbytes for out in outputs)
-    del acts, concat, outputs
+    inputs = _trunk_input(params, batch)
+    widest_block = max(t.rows.size * max(m, cfg.trunk[0]) for t, m in
+                       zip(inputs.lookups, cfg.embedding_widths)) * 8
+    outputs = len(cfg.trunk_groups()) * 2000 * 8 * sum(cfg.trunk)
+    bound = (inputs.dense.nbytes + lookup_bytes(inputs) + outputs + 2 * 2000 * 8 * cfg.trunk[0]
+             + 2 * widest_block + 4 * SCATTER_CHUNK * 8)
+    assert bound < 2000 * cfg.concat_width * 8
+    del inputs
     grads = {}
     peak = traced_peak(lambda: grads.update(backward(params, batch, batch.labels)))
     returned = sum(g.rows.nbytes + g.values.nbytes if isinstance(g, RowGrad) else g.nbytes
@@ -464,16 +534,25 @@ def test_backward_embedding_gradients_match_a_two_d_add_at(rng, monkeypatch, dty
 
 
 @pytest.mark.parametrize("dtype", ["f64", "f32"])
-def test_embedding_gather_equals_take(rng, dtype):
+def test_projected_lookup_holds_no_table_wide_gather(rng, dtype):
+    # the first layer reads each table through its touched rows: beside its
+    # output and one gather buffer as wide, it holds the looked-up rows and
+    # their projection, never a (n_rows x table width) gather
     cfg = small_config(dtype=dtype)
     params = randomized(cfg, rng)
-    batch = make_batch(rng, cfg, 500)
-    concat = _trunk_input(params, batch)
-    offset = 0
-    for j, (col, m) in enumerate(zip(cfg.cat_columns, cfg.embedding_widths)):
-        expected = np.take(params.blocks[f"emb.{col}"], batch.cat_codes[:, j], axis=0)
-        assert concat[:, offset : offset + m].tobytes() == expected.tobytes()
-        offset += m
+    batch = make_batch(rng, cfg, 4000)
+    inputs = _trunk_input(params, batch)
+    kept = []
+    peak = traced_peak(lambda: kept.append(_project(params, inputs, "trunk.shared.0")))
+    (pre,) = kept
+    w, b = params.blocks["trunk.shared.0.w"], params.blocks["trunk.shared.0.b"]
+    expected = reference_network.trunk_input(params, batch) @ w + b
+    assert pre.dtype == expected.dtype and within(pre, expected, 1e-12 if dtype == "f64" else 1e-5)
+    touched = sum(t.rows.size * (m + w.shape[1]) for t, m in
+                  zip(inputs.lookups, cfg.embedding_widths)) * pre.itemsize
+    bound = 2 * pre.nbytes + touched + (64 << 10)
+    assert bound < batch.n_rows * max(cfg.embedding_widths) * pre.itemsize
+    assert peak < bound
 
 
 def test_scatter_add_transient_does_not_grow_with_the_batch(rng):

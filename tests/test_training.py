@@ -333,12 +333,14 @@ def test_history_files_have_no_timing_columns(trained):
 
 
 def test_eval_batch_rows_follow_the_byte_budget(monkeypatch):
-    # 8 + 30 + 8 + 8 concat columns; the 30-wide embedding is wider than the 16-wide trunk
+    # an 8 + 8 dense block, one 30-wide embedding row and three arrays as
+    # wide as the 16-wide trunk layer
     cfg = net_config()
-    monkeypatch.setattr(training, "EVAL_BATCH_BYTES", 1000 * 8 * (54 + 30))
+    monkeypatch.setattr(training, "EVAL_BATCH_BYTES", 1000 * 8 * (16 + 30 + 3 * 16))
     assert training.eval_batch_rows(cfg) == 960  # 1000 rounded down to a multiple of 64
     assert training.eval_batch_rows(net_config(dtype="f32")) == 1984
-    assert training.eval_batch_rows(net_config(trunk=(100, 8))) == 512  # 545 rounded down
+    assert training.eval_batch_rows(net_config(trunk=(100, 8))) == 256  # 271 rounded down
+    assert training.eval_batch_rows(net_config(vocab_sizes=(8, 300))) == 256  # 293 rounded down
     monkeypatch.setattr(training, "EVAL_BATCH_BYTES", 1)
     assert training.eval_batch_rows(cfg) == 64
 
@@ -348,7 +350,7 @@ def test_predict_scores_contiguous_views_of_at_least_64_rows(small_synth_dataset
                                                              n_rows):
     params = init_network(net_config())
     ds = small_synth_dataset.take(np.arange(n_rows))
-    monkeypatch.setattr(training, "EVAL_BATCH_BYTES", 128 * 8 * (54 + 30))
+    monkeypatch.setattr(training, "EVAL_BATCH_BYTES", 128 * 8 * (16 + 30 + 3 * 16))
     batches = []
     real_forward = training.forward
 
