@@ -3,7 +3,7 @@
 Run from the repository root:
 
     python3 bench/pairs.py --parent HEAD~1 --change HEAD --workload train_default \
-        --seeds 101,102 --pairs 10 --out BENCH_14.json
+        --seeds 101,102 --pairs 10 --out BENCH.json
 
 Each commit's tree is exported with ``git archive`` into ``.bench_build/<sha>/``
 (the repository's own metadata is left as it was); a tree without

@@ -456,8 +456,7 @@ def test_backward_holds_no_concat_wide_array(rng, sharing):
     # pre-activation it adds into; later, each trunk group's gradient there),
     # per table two touched-rows blocks (the looked-up rows, and the summed
     # gradient or a second group's row gradient) and the scatter's chunk
-    # buffers; the returned gradients come on top. Nothing is concat-wide,
-    # where a duplicated pair of trunks used to hold three such arrays.
+    # buffers; the returned gradients come on top. Nothing is concat-wide.
     heads = ("is_installed", "is_clicked") if sharing == "duplicated" else ("is_installed",)
     cfg = small_config(vocab_sizes=(300, 300), trunk=(64, 32), heads=heads,
                        trunk_sharing=sharing)
