@@ -315,7 +315,8 @@ def _project(params: NetworkParams, inputs: _Inputs, name: str) -> np.ndarray:
 
     The dense block goes through its own rows of ``w``. Each table's touched
     rows go through theirs once, and the projected rows are gathered per
-    batch row and added, so a table costs its distinct codes, not the batch.
+    batch row and added, so a table's multiplies follow its distinct codes,
+    not the batch.
     """
     b = params.blocks
     w = b[f"{name}.w"]
