@@ -8,7 +8,6 @@ declared seeds, so a run is reproducible bit for bit on one machine.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,7 +55,6 @@ class EpochRecord:
     epoch: int  # 1-based
     train_loss: dict[str, float]
     val_loss: dict[str, float]
-    wall_time: float
     is_best: bool = False
 
 
@@ -232,7 +230,6 @@ def _fit(
     history = TrainingHistory(heads=heads, monitor_head=train_config.monitor_head)
 
     for epoch in range(1, max_epochs + 1):
-        t0 = time.perf_counter()
         frozen = frozenset(h for h, m in monitors.items() if m.stopped)
         order = shuffle_rng.permutation(train_ds.n_rows)
         try:
@@ -251,7 +248,7 @@ def _fit(
 
         train_loss = _eval_losses(params, train_ds, y_train)
         val_loss = _eval_losses(params, val_ds, y_val)
-        record = EpochRecord(epoch, train_loss, val_loss, wall_time=time.perf_counter() - t0)
+        record = EpochRecord(epoch, train_loss, val_loss)
         history.epochs.append(record)
         if not np.all(np.isfinite([*train_loss.values(), *val_loss.values()])):
             history.diverged = True

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import os
 import subprocess
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -168,6 +170,22 @@ def test_duplicated_trunk_per_head_training(workspace, capsys):
     )
     assert code == 0, err
     assert "per-head best" in stdout
+
+
+def test_split_evaluate_scores_each_row_set_once(workspace, capsys, monkeypatch):
+    out = trained(workspace, capsys, "--heads", "is_clicked,is_installed")
+    calls = []
+
+    def counting_predict(params, dataset):
+        calls.append(dataset.n_rows)
+        return training.predict(params, dataset)
+
+    monkeypatch.setattr(cli, "predict", counting_predict)
+    code, stdout, err = run(capsys, "evaluate", "--data-file", f"{out}/train.tsv",
+                            "--out-dir", out, "--split-eval", "true")
+    assert code == 0, err
+    assert "Output 'is_clicked'" in stdout and "Output 'is_installed'" in stdout
+    assert sorted(calls) == [175, 525]  # the validation and training rows, once each
 
 
 def test_missing_schema_is_usage_error(tmp_path, capsys):
@@ -365,6 +383,77 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         code, _, err = run(capsys, "synth", "--config", str(config), "--out-dir", str(tmp_path))
         assert code == 1
         assert f"unknown config key {line.split()[0]!r}" in err
+
+
+def test_one_config_file_serves_synth_and_train(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("rows = 600\ntest_rows = 80\nseed = 4\ncat_vocabs = 5,9\n"
+                      "trunk = 8\nmax_epochs = 2\npatience = 2\nbatch_size = 128\n")
+    out = str(tmp_path / "run")
+    code, _, err = run(capsys, "synth", "--config", str(config), "--out-dir", out)
+    assert code == 0, err
+    run(capsys, "prepare", "--schema-file", f"{out}/schema.txt",
+        "--train-file", f"{out}/train.tsv", "--out-dir", out)
+    code, _, err = run(capsys, "train", "--config", str(config),
+                       "--train-file", f"{out}/train.tsv", "--out-dir", out)
+    assert code == 0, err
+    params, _ = load_params(tmp_path / "run" / "model_full.bin")
+    assert params.config.trunk == (8,)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["synth", "--learning-rate", "99"], "--learning-rate"),
+    (["predict", "--test-file", "t.tsv", "--trunk", "7"], "--trunk"),
+    (["prepare", "--schema-file", "s.txt", "--precision", "f99"], "--precision"),
+])
+def test_flag_a_subcommand_does_not_read_exits_2(tmp_path, capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out-dir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+class RecordingConfig:
+    """Stands in for a RunConfig and notes the name of every field read from it."""
+
+    def __init__(self, cfg: cli.RunConfig, read: set[str]):
+        self._cfg, self._read = cfg, read
+
+    def __getattr__(self, name: str):
+        self._read.add(name)
+        return getattr(self._cfg, name)
+
+
+def registered_flags(command: str) -> set[str]:
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions} - {"help", "config"}
+
+
+def test_each_subcommand_registers_exactly_the_fields_it_reads(workspace, capsys, monkeypatch):
+    read: dict[str, set[str]] = defaultdict(set)
+    resolve = cli.resolve_config
+    monkeypatch.setattr(cli, "resolve_config",
+                        lambda args: RecordingConfig(resolve(args), read[args.command]))
+    out = str(workspace)
+    data = ["--data-file", f"{out}/train.tsv", "--out-dir", out]
+    preds = ["--predictions-file", f"{out}/submission.tsv"]
+    for argv in (
+        ["synth", "--out-dir", out, "--seed", "5", *FAST],
+        ["prepare", "--schema-file", f"{out}/schema.txt", "--train-file", f"{out}/train.tsv",
+         "--out-dir", out],
+        ["train", "--train-file", f"{out}/train.tsv", "--out-dir", out, *TINY_MODEL],
+        ["predict", "--test-file", f"{out}/train.tsv", "--out-dir", out],
+        ["evaluate", *data, "--split-eval", "true"],
+        ["evaluate", *data, *preds],
+        ["evaluate", *data, *preds, "--schema-file", f"{out}/schema.txt"],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+    assert set(read) == set(cli._COMMANDS)
+    for command, fields_read in read.items():
+        assert fields_read == registered_flags(command), command
 
 
 def test_bad_predictions_cell_names_line(workspace, tmp_path, capsys):
