@@ -269,8 +269,7 @@ def cmd_train(cfg: RunConfig) -> int:
     pipeline = load_pipeline(pipeline_path)
     pipeline_hash = file_sha256(pipeline_path)
 
-    table = load_table(cfg.train_file, pipeline.schema)
-    dataset = pipeline.transform(table)
+    dataset = pipeline.transform(load_table(cfg.train_file, pipeline.schema))
     net_config = _network_config(pipeline, cfg)
     train_config = _train_config(cfg)
 
@@ -355,8 +354,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     _require(cfg, "test_file")
     pipeline, params = _load_model(cfg)
     schema = _schema_for_file(cfg.test_file, pipeline.schema)
-    table = load_table(cfg.test_file, schema)
-    dataset = pipeline.transform(table)
+    dataset = pipeline.transform(load_table(cfg.test_file, schema))
     probs = predict(params, dataset)
 
     heads = params.config.heads
@@ -469,8 +467,7 @@ def cmd_evaluate(cfg: RunConfig) -> int:
     pipeline, params = _load_model(cfg, "; pass predictions_file or model_file")
     schema = _schema_for_file(cfg.data_file, pipeline.schema)
     schema.require_labels()
-    table = load_table(cfg.data_file, schema)
-    dataset = pipeline.transform(table)
+    dataset = pipeline.transform(load_table(cfg.data_file, schema))
 
     heads = params.config.heads
     for head in heads:
@@ -578,6 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     parsers = _field_parsers()
     for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(subparser=p)  # reports the flags it does not take
         p.add_argument("--config", help="flat key = value config file")
         for field_name in _OPTIONS[name]:
             parse = parsers[field_name]
@@ -588,8 +586,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unknown = build_parser().parse_known_args(argv)
+    if unknown:
+        args.subparser.error(f"unrecognized arguments: {' '.join(unknown)}")
     try:
         cfg = resolve_config(args)
         command = _COMMANDS[args.command][0]
@@ -600,7 +599,8 @@ def main(argv: list[str] | None = None) -> int:
     except AdinstallError as exc:
         print(f"adinstall: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as exc:
         print(f"adinstall: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -29,7 +29,9 @@ from .prep import PreparedDataset
 
 EMBED_CAP = 256
 # elements per chunk of the embedding scatter-add; its flat indices, its
-# values and numpy's broadcast buffer take 128 KiB each (f64) at any batch size
+# values and numpy's broadcast buffer take 128 KiB each (f64) at any batch
+# size. Codes are marked present in chunks of as many rows, since a column of
+# codes is a strided view that numpy copies to index with.
 SCATTER_CHUNK = 16384
 MODEL_MAGIC = b"ADNM"
 MODEL_VERSION = 1
@@ -261,15 +263,103 @@ def _validate_batch(config: NetworkConfig, batch: PreparedDataset) -> None:
         )
 
 
+def _distinct(codes: np.ndarray, n: int, col: str) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct codes in increasing order, and a map from each of them to
+    its position among them, so ``np.unique(codes, return_inverse=True)`` is
+    ``rows, position[codes]``, dtypes included.
+
+    The codes' min and max are checked against 0..n, then each code is
+    marked in a presence mask over the vocabulary: no sort, and a cost that
+    follows the rows and the vocabulary. ``position`` holds no value at a
+    code outside ``rows``.
+    """
+    if codes.size and (codes.min() < 0 or codes.max() > n):
+        raise PipelineMismatchError(
+            f"categorical code out of range 0..{n} in column "
+            f"{col!r}: preprocessing bug upstream"
+        )
+    present = np.zeros(n + 1, dtype=bool)
+    for lo in range(0, codes.size, SCATTER_CHUNK):
+        present[codes[lo : lo + SCATTER_CHUNK]] = True
+    rows = present.nonzero()[0]
+    position = np.empty(n + 1, dtype=np.intp)
+    position[rows] = np.arange(rows.size)
+    return rows, position
+
+
+class TableProjection(NamedTuple):
+    """One table's distinct codes over a set of rows, and their rows through
+    the first linear maps.
+
+    ``rows`` holds the codes in increasing order and ``position`` maps each
+    of them to its place in ``rows``. ``products`` starts empty; the first
+    batch that needs a first map ``name`` stores ``table[rows] @ w[span]``
+    under it, for every later batch of those rows to gather from.
+    """
+
+    rows: np.ndarray
+    position: np.ndarray
+    products: dict[str, np.ndarray]
+
+
+def project_tables(
+    params: NetworkParams, dataset: PreparedDataset, max_bytes: int
+) -> list[TableProjection | None]:
+    """Each table's :class:`TableProjection` over the codes of ``dataset``,
+    or None for a table left to be projected per batch.
+
+    Tables are kept smallest first while their products together fit in
+    ``max_bytes``. Every code is checked against its vocabulary, so
+    :func:`forward` given the result checks nothing again for a batch of
+    ``dataset``'s rows. The lookups take memory that follows the
+    vocabularies, not the rows.
+    """
+    config = params.config
+    _validate_batch(config, dataset)
+    # bytes of one table row through all first maps: each trunk copy's
+    # first layer, or each head's single unit when the trunk is empty
+    width = len(config.trunk_groups()) * config.trunk[0] if config.trunk else len(config.heads)
+    row_bytes = config.np_dtype.itemsize * width
+    lookups = [
+        _distinct(dataset.cat_codes[:, j], n, col)
+        for j, (col, n) in enumerate(zip(config.cat_columns, config.vocab_sizes))
+    ]
+    out: list[TableProjection | None] = [None] * len(lookups)
+    spare = max_bytes
+    for j in sorted(range(len(lookups)), key=lambda j: lookups[j][0].size):
+        spare -= lookups[j][0].size * row_bytes
+        if spare < 0:
+            break
+        out[j] = TableProjection(*lookups[j], {})
+    return out
+
+
+def _table_product(table: np.ndarray, rows: np.ndarray, w: np.ndarray, chunk: int) -> np.ndarray:
+    """``table[rows] @ w``, gathering about ``chunk`` rows of ``table`` at a
+    time. No piece has a single row unless ``rows`` has: a BLAS build can
+    round a one-row product differently."""
+    chunk = max(chunk, 2)
+    if rows.size <= chunk:
+        return table[rows] @ w
+    out = np.empty((rows.size, w.shape[1]), dtype=w.dtype)
+    bounds = [*range(0, rows.size - 1, chunk), rows.size]
+    for lo, hi in zip(bounds, bounds[1:]):
+        np.matmul(table[rows[lo:hi]], w, out=out[lo:hi])
+    return out
+
+
 class _Lookup(NamedTuple):
     """One table's share of a batch: its block, the span of rows it reads
-    in a first-layer weight, the sorted distinct codes of the batch, and each
-    row's position among them, so a row's embedding is ``table[rows][inverse]``."""
+    in a first-layer weight, sorted distinct codes that include the batch's,
+    and each row's position among them, so a row's embedding is
+    ``table[rows][inverse]``. For a table kept for a whole call,
+    ``products`` is its :class:`TableProjection`'s, else None."""
 
     block: str
     span: slice
     rows: np.ndarray
     inverse: np.ndarray
+    products: dict[str, np.ndarray] | None = None
 
 
 class _Inputs(NamedTuple):
@@ -282,9 +372,14 @@ class _Inputs(NamedTuple):
     lookups: list[_Lookup]
 
 
-def _trunk_input(params: NetworkParams, batch: PreparedDataset) -> _Inputs:
-    """The dense block and each table's distinct codes; every code is checked
-    against its vocabulary from the ends of the sorted codes."""
+def _trunk_input(
+    params: NetworkParams,
+    batch: PreparedDataset,
+    tables: list[TableProjection | None] | None = None,
+) -> _Inputs:
+    """The dense block and each table's lookup: the batch's own distinct
+    codes, every code checked against its vocabulary, or for a table with a
+    projection in ``tables`` that projection's codes."""
     config = params.config
     _validate_batch(config, batch)
     b = params.blocks
@@ -294,13 +389,14 @@ def _trunk_input(params: NetworkParams, batch: PreparedDataset) -> _Inputs:
     for j, (col, n, m) in enumerate(
         zip(config.cat_columns, config.vocab_sizes, config.embedding_widths)
     ):
-        rows, inverse = np.unique(batch.cat_codes[:, j], return_inverse=True)
-        if rows.size and (rows[0] < 0 or rows[-1] > n):
-            raise PipelineMismatchError(
-                f"categorical code out of range 0..{n} in column "
-                f"{col!r}: preprocessing bug upstream"
-            )
-        lookups.append(_Lookup(f"emb.{col}", slice(lo, lo + m), rows, inverse))
+        codes = batch.cat_codes[:, j]
+        kept = tables[j] if tables else None
+        if kept is None:
+            rows, position = _distinct(codes, n, col)
+            products = None
+        else:
+            rows, position, products = kept
+        lookups.append(_Lookup(f"emb.{col}", slice(lo, lo + m), rows, position[codes], products))
         lo += m
     bw = config.binary_width
     dense = np.empty((batch.n_rows, bw + config.numerical_width), dtype)
@@ -316,7 +412,9 @@ def _project(params: NetworkParams, inputs: _Inputs, name: str) -> np.ndarray:
     The dense block goes through its own rows of ``w``. Each table's touched
     rows go through theirs once, and the projected rows are gathered per
     batch row and added, so a table's multiplies follow its distinct codes,
-    not the batch.
+    not the batch. A table kept for a whole call is projected by the call's
+    first batch, a batch's rows of the table at a time, and stored in its
+    ``products`` for the batches after it.
     """
     b = params.blocks
     w = b[f"{name}.w"]
@@ -325,9 +423,17 @@ def _project(params: NetworkParams, inputs: _Inputs, name: str) -> np.ndarray:
     pre += b[f"{name}.b"]
     gathered = np.empty_like(pre)
     for t in lookups:
+        if t.products is None:  # looked up for this batch alone
+            projected = b[t.block][t.rows] @ w[t.span]
+        elif name in t.products:
+            projected = t.products[name]
+        else:  # kept for the whole call; this is the call's first batch
+            projected = t.products[name] = _table_product(
+                b[t.block], t.rows, w[t.span], len(dense)
+            )
         # every position is in range; mode="clip" spares the buffered copy
         # that the default mode makes of ``out``
-        (b[t.block][t.rows] @ w[t.span]).take(t.inverse, axis=0, out=gathered, mode="clip")
+        projected.take(t.inverse, axis=0, out=gathered, mode="clip")
         pre += gathered
     return pre
 
@@ -371,11 +477,17 @@ def _forward(
     return probs
 
 
-def forward(params: NetworkParams, batch: PreparedDataset) -> np.ndarray:
+def forward(
+    params: NetworkParams,
+    batch: PreparedDataset,
+    tables: list[TableProjection | None] | None = None,
+) -> np.ndarray:
     """Per-row, per-head probabilities, shape (n_rows, n_heads), all in (0, 1).
 
-    Keeps nothing for a backward pass."""
-    return _forward(params, _trunk_input(params, batch))
+    ``tables``, from :func:`project_tables` on a dataset that holds the
+    batch's rows, gives tables whose rows are gathered from their products
+    rather than projected again. Keeps nothing for a backward pass."""
+    return _forward(params, _trunk_input(params, batch, tables))
 
 
 def _scatter_add(values: np.ndarray, inverse: np.ndarray, grad: np.ndarray) -> None:

@@ -14,7 +14,14 @@ import numpy as np
 
 from .errors import NonFiniteGradientError, PipelineMismatchError
 from .metrics import log_loss
-from .network import NetworkConfig, NetworkParams, backward, forward, init_network
+from .network import (
+    NetworkConfig,
+    NetworkParams,
+    backward,
+    forward,
+    init_network,
+    project_tables,
+)
 from .optim import OptimizerState, optimizer_step
 from .prep import PreparedDataset
 
@@ -23,7 +30,8 @@ from .prep import PreparedDataset
 # than the batch's), and three arrays as wide as the widest layer: the first
 # layer's pre-activation, the buffer a table's projected rows are gathered
 # into and those projected rows, or later a layer's input beside its output.
-# The rows per batch follow from the model's widths and dtype.
+# The rows per batch follow from the model's widths and dtype. The tables
+# projected once per call take at most as many bytes again.
 EVAL_BATCH_BYTES = 32 << 20
 # scoring batches are a multiple of this many rows, and never fewer
 EVAL_ROW_ALIGN = 64
@@ -179,18 +187,22 @@ def eval_batch_rows(config: NetworkConfig) -> int:
 def predict(params: NetworkParams, dataset: PreparedDataset) -> np.ndarray:
     """Pure forward pass in row order; shape (n_rows, n_heads).
 
-    Rows are scored in contiguous batches of ``eval_batch_rows`` rows, so the
-    working memory does not grow with the dataset. A last batch shorter than
-    ``EVAL_ROW_ALIGN`` rows joins the one before it: a BLAS build can round a
-    row differently when the matrix has only a few rows.
+    Each table's distinct codes are found once, and as many tables as fit in
+    ``EVAL_BATCH_BYTES``, smallest first, go through the first layer once;
+    the rest are projected per batch. Rows are scored in contiguous batches
+    of ``eval_batch_rows`` rows, so the working memory does not grow with
+    the dataset. A last batch shorter than ``EVAL_ROW_ALIGN`` rows joins the
+    one before it: a BLAS build can round a row differently when the matrix
+    has only a few rows.
     """
     n = dataset.n_rows
     starts = list(range(0, n, eval_batch_rows(params.config)))
     if len(starts) > 1 and n - starts[-1] < EVAL_ROW_ALIGN:
         starts.pop()
+    tables = project_tables(params, dataset, EVAL_BATCH_BYTES)
     probs = np.empty((n, len(params.config.heads)))
     for start, stop in zip(starts, starts[1:] + [n]):
-        probs[start:stop] = forward(params, dataset.take(slice(start, stop)))
+        probs[start:stop] = forward(params, dataset.take(slice(start, stop)), tables)
     return probs
 
 

@@ -414,6 +414,26 @@ def test_flag_a_subcommand_does_not_read_exits_2(tmp_path, capsys, argv, flag):
     assert not any(tmp_path.iterdir())
 
 
+def test_unknown_flag_shows_the_subcommands_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["predict", "--test-file", "x", "--trunk", "7"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: adinstall predict ")
+    assert "--model-file" in err  # the flags predict does take
+    assert "adinstall predict: error: unrecognized arguments: --trunk 7" in err
+
+
+def test_a_directory_for_a_file_is_one_error_line(workspace, capsys):
+    out = trained(workspace, capsys)
+    for argv in (["predict", "--test-file", str(workspace)],
+                 ["evaluate", "--data-file", str(workspace), "--predictions-file",
+                  f"{out}/submission.tsv"]):
+        code, _, err = run(capsys, *argv, "--out-dir", out)
+        assert code == 1, argv
+        assert err.count("\n") == 1 and err.startswith("adinstall: error: IsADirectoryError: ")
+
+
 class RecordingConfig:
     """Stands in for a RunConfig and notes the name of every field read from it."""
 

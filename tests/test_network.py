@@ -1,18 +1,23 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from adinstall import network
+from adinstall import network, training
 from adinstall.errors import ArtifactError, PipelineMismatchError
 from adinstall.network import (
     SCATTER_CHUNK,
     NetworkConfig,
     RowGrad,
+    _distinct,
     _forward,
+    _table_product,
     _project,
     _scatter_add,
     _trunk_input,
@@ -187,6 +192,22 @@ def test_out_of_range_code_rejected(rng):
     )
     with pytest.raises(PipelineMismatchError, match="out of range"):
         forward(params, broken)
+
+
+@pytest.mark.parametrize("code", [lambda n: -1, lambda n: n + 1], ids=["-1", "n+1"])
+@pytest.mark.parametrize("column", [0, 1])
+def test_out_of_range_code_rejected_when_scoring_a_call(rng, code, column):
+    # predict checks each table once per call; a negative code must not wrap
+    # around into the presence mask
+    cfg = small_config()
+    params = init_network(cfg)
+    batch = make_batch(rng, cfg, 300)
+    bad = batch.cat_codes.copy()
+    bad[150, column] = code(cfg.vocab_sizes[column])
+    broken = dataclasses.replace(batch, cat_codes=bad)
+    for score in (training.predict, forward):
+        with pytest.raises(PipelineMismatchError, match="out of range"):
+            score(params, broken)
 
 
 def test_one_head_two_head_consistency(rng):
@@ -565,3 +586,112 @@ def test_scatter_add_transient_does_not_grow_with_the_batch(rng):
         peaks.append(traced_peak(lambda: _scatter_add(values, inverse, grad)))
     assert peaks[1] <= 1.05 * peaks[0]
     assert peaks[1] < 4 * SCATTER_CHUNK * 8
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 5000), n_rows=st.integers(0, 5000), spread=st.floats(0.0, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_distinct_codes_match_np_unique(n, n_rows, spread, seed):
+    # codes crowd into the first ``spread`` of the vocabulary, and 0 and n
+    # both occur once there are two rows; read as a column, as batches are
+    rng = np.random.default_rng(seed)
+    codes = rng.integers(0, int(spread * n) + 1, (n_rows, 2))
+    if n_rows >= 2:
+        codes[rng.choice(n_rows, 2, replace=False), 0] = (0, n)
+    column = codes[:, 0]
+    rows, position = _distinct(column, n, "c")
+    want_rows, want_inverse = np.unique(column, return_inverse=True)
+    assert rows.dtype == want_rows.dtype and rows.tobytes() == want_rows.tobytes()
+    inverse = position[column]
+    assert inverse.dtype == want_inverse.dtype and inverse.shape == want_inverse.shape
+    assert inverse.tobytes() == want_inverse.tobytes()
+
+
+def first_maps(cfg: NetworkConfig) -> list[str]:
+    if cfg.trunk:
+        return [f"trunk.{group}.0" for group in cfg.trunk_groups()]
+    return [f"head.{head}" for head in cfg.heads]
+
+
+def rows_keep_their_bits(params, ds, batches) -> bool:
+    """Whether each table row comes out of each first map with the same bits
+    in the product over the whole call's codes as in each batch's product.
+
+    A BLAS may route a product by its shape, so this can fail for narrow
+    maps (a single head's unit, or a few f32 columns) while holding at
+    the default widths.
+    """
+    cfg = params.config
+    lo = 0
+    for j, (col, m) in enumerate(zip(cfg.cat_columns, cfg.embedding_widths)):
+        table, whole_rows = params.blocks[f"emb.{col}"], np.unique(ds.cat_codes[:, j])
+        for name in first_maps(cfg):
+            w = params.blocks[f"{name}.w"][lo : lo + m]
+            whole = table[whole_rows] @ w
+            for batch in batches:
+                rows = np.unique(batch.cat_codes[:, j])
+                part = whole[np.searchsorted(whole_rows, rows)]
+                if (table[rows] @ w).tobytes() != part.tobytes():
+                    return False
+        lo += m
+    return True
+
+
+@pytest.mark.parametrize("fallback", [False, True], ids=["every table per call",
+                                                          "wide table per batch"])
+@pytest.mark.parametrize("overrides", FORWARD_CONFIGS + [
+    dict(trunk=(256, 128)), dict(trunk=(256, 128), dtype="f32"),
+])
+def test_predict_matches_per_batch_forward(rng, monkeypatch, overrides, fallback):
+    # the gathers and sums are those of a per-batch forward; only the rows
+    # each table's product has differ, so the scores are the same bits
+    # wherever the BLAS gives a row the same bits at both row counts
+    cfg = small_config(**overrides)
+    params = randomized(cfg, rng)
+    # room for the products of every code of both tables, or of the 5 codes
+    # of the small one; either way a batch has 64 rows, and the 192 rows
+    # touch more of the 301 codes of the other than that, so its products
+    # are made a batch's rows at a time
+    row_bytes = sum(params.blocks[f"{name}.w"].shape[1] for name in first_maps(cfg))
+    row_bytes *= cfg.np_dtype.itemsize
+    monkeypatch.setattr(training, "EVAL_BATCH_BYTES", (5 if fallback else 306) * row_bytes)
+    rows = training.eval_batch_rows(cfg)
+    assert rows == 64
+    ds = make_batch(rng, cfg, 3 * rows)
+    batches = [ds.take(slice(start, start + rows)) for start in range(0, ds.n_rows, rows)]
+    for batch in batches:
+        assert all(np.unique(codes).size >= 2 for codes in batch.cat_codes.T)
+    want = np.concatenate([forward(params, batch) for batch in batches])
+
+    kept = []
+    project = training.project_tables
+    monkeypatch.setattr(training, "project_tables",
+                        lambda *args: kept.append(project(*args)) or kept[-1])
+    got = training.predict(params, ds)
+    (tables,) = kept
+    assert [t is None for t in tables] == [False, fallback]
+    assert fallback or tables[1].rows.size > rows
+    if rows_keep_their_bits(params, ds, batches):
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert within(got, want, 1e-12 if cfg.dtype == "f64" else 1e-5)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("n_rows", [1, 64, 65, 128, 129, 130])
+def test_table_product_in_pieces_matches_one_product(rng, dtype, n_rows):
+    # 64-row pieces, the last one of 2 rows or more: a one-row product is
+    # rounded differently, so a piece of one row would show in the bits
+    table = rng.normal(size=(400, 256)).astype(dtype)
+    w = rng.normal(size=(256, 256)).astype(dtype)
+    rows = np.sort(rng.choice(400, n_rows, replace=False))
+    got = _table_product(table, rows, w, 64)
+    want = table[rows] @ w
+    assert got.dtype == want.dtype and got.shape == want.shape
+    pieces_keep_their_bits = all(
+        (table[rows[lo : lo + 2]] @ w).tobytes() == want[lo : lo + 2].tobytes()
+        for lo in range(0, n_rows - 1, 64))
+    if pieces_keep_their_bits:
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert within(got, want, 1e-12 if dtype == np.float64 else 1e-5)

@@ -354,9 +354,9 @@ def test_predict_scores_contiguous_views_of_at_least_64_rows(small_synth_dataset
     batches = []
     real_forward = training.forward
 
-    def recording(params, batch):
+    def recording(params, batch, *rest):
         batches.append(batch)
-        return real_forward(params, batch)
+        return real_forward(params, batch, *rest)
 
     monkeypatch.setattr(training, "forward", recording)
     probs = predict(params, ds)
@@ -394,3 +394,34 @@ def test_predict_memory_is_set_by_the_budget_not_the_rows(small_synth_dataset, m
     peak, out_bytes = traced_peak(2 * rows)
     assert peak < 1.5 * budget + out_bytes
     assert traced_peak(8 * rows)[0] < 1.1 * peak
+
+
+def test_predict_keeps_its_per_call_projections_within_the_budget(rng, monkeypatch):
+    # some tables are kept for the whole call, one is left per batch; the
+    # 8x dataset repeats the 2x one, so both touch the same codes
+    params = init_network(net_config(cat_columns=("a", "b", "c"), vocab_sizes=(100, 1000, 5000),
+                                     trunk=(512,)))
+    budget = 2 << 20  # 128-row batches; 4 KiB of products per code
+    monkeypatch.setattr(training, "EVAL_BATCH_BYTES", budget)
+    rows = training.eval_batch_rows(params.config)
+    base = make_batch(rng, params.config, 2 * rows)
+    kept = []
+    project = training.project_tables
+    monkeypatch.setattr(training, "project_tables",
+                        lambda *args: kept.append(project(*args)) or kept[-1])
+
+    def traced_peak(ds) -> int:
+        tracemalloc.start()
+        try:
+            predict(params, ds)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak = traced_peak(base)
+    tables = kept[-1]
+    assert any(t is None for t in tables) and any(t is not None for t in tables)
+    held = sum(p.nbytes for t in tables if t is not None for p in t.products.values())
+    assert 0 < held <= budget
+    assert peak < 2 * budget
+    assert traced_peak(base.take(np.arange(8 * rows) % base.n_rows)) < 1.1 * peak
