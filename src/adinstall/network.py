@@ -359,7 +359,7 @@ class _Lookup(NamedTuple):
     span: slice
     rows: np.ndarray
     inverse: np.ndarray
-    products: dict[str, np.ndarray] | None = None
+    products: dict[str, np.ndarray] | None
 
 
 class _Inputs(NamedTuple):

@@ -17,9 +17,9 @@ from adinstall.network import (
     RowGrad,
     _distinct,
     _forward,
-    _table_product,
     _project,
     _scatter_add,
+    _table_product,
     _trunk_input,
     backward,
     block_specs,
