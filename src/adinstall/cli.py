@@ -10,6 +10,7 @@ seed. Error exits are nonzero and print one machine-parsable line:
 from __future__ import annotations
 
 import argparse
+import ctypes
 import hashlib
 import sys
 from dataclasses import dataclass, fields, replace
@@ -45,6 +46,17 @@ from .training import (
 SUBMISSION_COLUMNS = ("row_id", "is_clicked", "is_installed")
 # probability written for a submission column the model has no head for
 PLACEHOLDER = 0.5
+
+# A command's arrays come from the C heap. Once they are freed, glibc keeps up
+# to twice its mmap threshold (64 MiB at most) of free memory resident at the
+# heap's top, more or less by the order of the last frees, so a process that
+# runs several commands would carry an amount that moves from run to run.
+# ``main`` hands those pages back with ``malloc_trim``; where the C library
+# has no such call, nothing is done.
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
 
 
 @dataclass(frozen=True)
@@ -586,6 +598,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        return _run(argv)
+    finally:
+        if _malloc_trim is not None:
+            _malloc_trim(0)
+
+
+def _run(argv: list[str] | None) -> int:
     args, unknown = build_parser().parse_known_args(argv)
     if unknown:
         args.subparser.error(f"unrecognized arguments: {' '.join(unknown)}")

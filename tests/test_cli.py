@@ -434,6 +434,18 @@ def test_a_directory_for_a_file_is_one_error_line(workspace, capsys):
         assert err.count("\n") == 1 and err.startswith("adinstall: error: IsADirectoryError: ")
 
 
+def test_main_returns_the_freed_heap_after_every_command(workspace, capsys, monkeypatch):
+    pads = []
+    monkeypatch.setattr(cli, "_malloc_trim", pads.append)
+    out = trained(workspace, capsys)  # prepare, train
+    assert pads == [0, 0]
+    code, _, _ = run(capsys, "predict", "--test-file", out, "--out-dir", out)  # a directory
+    assert code == 1 and pads == [0] * 3
+    with pytest.raises(SystemExit):
+        main(["predict", "--trunk", "7"])
+    assert pads == [0] * 4
+
+
 class RecordingConfig:
     """Stands in for a RunConfig and notes the name of every field read from it."""
 
