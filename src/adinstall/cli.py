@@ -599,17 +599,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        return _run(argv)
-    finally:
-        if _malloc_trim is not None:
-            _malloc_trim(0)
-
-
-def _run(argv: list[str] | None) -> int:
-    args, unknown = build_parser().parse_known_args(argv)
-    if unknown:
-        args.subparser.error(f"unrecognized arguments: {' '.join(unknown)}")
-    try:
+        args, unknown = build_parser().parse_known_args(argv)
+        if unknown:
+            args.subparser.error(f"unrecognized arguments: {' '.join(unknown)}")
         cfg = resolve_config(args)
         command = _COMMANDS[args.command][0]
         return command(cfg)
@@ -623,6 +615,9 @@ def _run(argv: list[str] | None) -> int:
             PermissionError) as exc:
         print(f"adinstall: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if _malloc_trim is not None:
+            _malloc_trim(0)
 
 
 def entrypoint() -> None:
