@@ -366,7 +366,10 @@ def cmd_predict(cfg: RunConfig) -> int:
     _require(cfg, "test_file")
     pipeline, params = _load_model(cfg)
     schema = _schema_for_file(cfg.test_file, pipeline.schema)
-    dataset = pipeline.transform(load_table(cfg.test_file, schema))
+    table = load_table(cfg.test_file, schema)
+    row_ids = table.row_ids
+    dataset = pipeline.transform(table)
+    del table  # only its row ids are written out
     probs = predict(params, dataset)
 
     heads = params.config.heads
@@ -374,7 +377,7 @@ def cmd_predict(cfg: RunConfig) -> int:
     filled = [h for h in SUBMISSION_COLUMNS[1:] if h not in heads]
 
     def columns(rows: slice) -> list:
-        out: list = [dataset.row_ids[rows]]
+        out: list = [row_ids[rows]]
         for head in SUBMISSION_COLUMNS[1:]:
             if head in heads:
                 out.append(map("{:.9f}".format, probs[rows, heads.index(head)].tolist()))
@@ -490,14 +493,15 @@ def cmd_evaluate(cfg: RunConfig) -> int:
         frac = 100 * (1 - cfg.val_fraction)
         columns = {f"Training set ({frac:.0f}%)": tr, f"Validation set ({100 - frac:.0f}%)": va}
     else:
-        columns = {"All rows": dataset}
-    # predict scores every head at once, so each row set is scored once
-    scored = {name: (subset, predict(params, subset)) for name, subset in columns.items()}
+        columns = {"All rows": slice(None)}
+    # predict scores every head at once, so the file is scored once
+    probs = predict(params, dataset)
     record_lines: list[str] = []
     for k, head in enumerate(heads):
+        y = dataset.label_matrix((head,))[:, 0]
         reports = {
-            name: report(subset.label_matrix((head,))[:, 0], probs[:, k], threshold=cfg.threshold)
-            for name, (subset, probs) in scored.items()
+            name: report(y[rows], probs[rows, k], threshold=cfg.threshold)
+            for name, rows in columns.items()
         }
         print(render_reports(reports, title=f"Output {head!r}"))
         print()

@@ -400,8 +400,10 @@ def _trunk_input(
         lo += m
     bw = config.binary_width
     dense = np.empty((batch.n_rows, bw + config.numerical_width), dtype)
-    np.maximum(batch.binary.astype(dtype) @ b["bin.w"] + b["bin.b"], 0.0, out=dense[:, :bw])
-    np.maximum(batch.numeric.astype(dtype) @ b["num.w"] + b["num.b"], 0.0, out=dense[:, bw:])
+    binary = batch.binary.astype(dtype, copy=False)
+    numeric = batch.numeric.astype(dtype, copy=False)
+    np.maximum(binary @ b["bin.w"] + b["bin.b"], 0.0, out=dense[:, :bw])
+    np.maximum(numeric @ b["num.w"] + b["num.b"], 0.0, out=dense[:, bw:])
     return _Inputs(dense, lookups)
 
 
@@ -573,9 +575,9 @@ def _project_backward(
         d_dense = np.zeros_like(dense)
     d_dense *= dense > 0
     bw = config.binary_width
-    grads["bin.w"] = batch.binary.astype(config.np_dtype).T @ d_dense[:, :bw]
+    grads["bin.w"] = batch.binary.astype(config.np_dtype, copy=False).T @ d_dense[:, :bw]
     grads["bin.b"] = d_dense[:, :bw].sum(axis=0)
-    grads["num.w"] = batch.numeric.astype(config.np_dtype).T @ d_dense[:, bw:]
+    grads["num.w"] = batch.numeric.astype(config.np_dtype, copy=False).T @ d_dense[:, bw:]
     grads["num.b"] = d_dense[:, bw:].sum(axis=0)
 
 

@@ -10,8 +10,7 @@ to a single versioned JSON artifact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -319,13 +318,11 @@ class PrepConfig:
 class PreparedDataset:
     """Model-ready blocks: no missing cells, codes in 0..n, numericals in [0, 1].
 
-    ``source_row_ids`` are the row ids of the rows, or, for a dataset taken
-    at an index array, those of the dataset it was taken from, with
-    ``source_rows`` the positions of its rows there. ``row_ids`` is built on
-    first read, so a training batch, which never reads it, never builds it.
+    A dataset holds its blocks only; the row ids stay with the parsed table
+    (``RawTable.row_ids``). Training and evaluation select rows by index
+    arrays into one dataset, so only a batch is ever taken at an index array.
     """
 
-    source_row_ids: tuple[str, ...]
     cat_names: tuple[str, ...]
     cat_codes: np.ndarray  # (n, C) int64
     bin_names: tuple[str, ...]
@@ -335,13 +332,6 @@ class PreparedDataset:
     label_names: tuple[str, ...]
     labels: np.ndarray | None  # (n, L) float64 in {0, 1}, or None
     unseen_counts: dict[str, int] = field(default_factory=dict)
-    source_rows: np.ndarray | None = None  # None: every source row, in order
-
-    @cached_property
-    def row_ids(self) -> tuple[str, ...]:
-        if self.source_rows is None:
-            return self.source_row_ids
-        return tuple(map(self.source_row_ids.__getitem__, self.source_rows.tolist()))
 
     @property
     def n_rows(self) -> int:
@@ -349,27 +339,12 @@ class PreparedDataset:
 
     def take(self, indices: np.ndarray | slice) -> "PreparedDataset":
         """The rows at ``indices``: copies for an index array, views for a slice."""
-        if isinstance(indices, slice):
-            idx = indices
-            if self.source_rows is None:
-                ids, rows = self.source_row_ids[indices], None
-            else:  # a view of the positions, so row_ids stays unbuilt
-                ids, rows = self.source_row_ids, self.source_rows[indices]
-        else:
-            idx = rows = np.array(indices)  # a copy: row_ids reads it later
-            ids = self.row_ids
-        return PreparedDataset(
-            source_row_ids=ids,
-            cat_names=self.cat_names,
-            cat_codes=self.cat_codes[idx],
-            bin_names=self.bin_names,
-            binary=self.binary[idx],
-            num_names=self.num_names,
-            numeric=self.numeric[idx],
-            label_names=self.label_names,
-            labels=None if self.labels is None else self.labels[idx],
-            unseen_counts=dict(self.unseen_counts),
-            source_rows=rows,
+        return replace(
+            self,
+            cat_codes=self.cat_codes[indices],
+            binary=self.binary[indices],
+            numeric=self.numeric[indices],
+            labels=None if self.labels is None else self.labels[indices],
         )
 
     def label_matrix(self, heads: tuple[str, ...]) -> np.ndarray:
@@ -454,7 +429,6 @@ class PrepPipeline:
 
         labels = table.labels.astype(np.float64) if table.label_names else None
         prepared = PreparedDataset(
-            source_row_ids=table.row_ids,
             cat_names=self.cat_names,
             cat_codes=codes,
             bin_names=self.bin_names,

@@ -159,8 +159,9 @@ class EarlyStopMonitor:
 
 def split_train_val(
     dataset: PreparedDataset, seed: int, val_fraction: float = 0.25
-) -> tuple[PreparedDataset, PreparedDataset]:
-    """Seeded uniform split; validation gets round(n * fraction) rows."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded uniform split into the sorted row indices of the training and
+    the validation rows; validation gets round(n * fraction) rows."""
     if dataset.labels is None:
         raise PipelineMismatchError("cannot split an unlabeled dataset")
     n = dataset.n_rows
@@ -169,9 +170,7 @@ def split_train_val(
     n_val = int(round(n * val_fraction))
     n_val = max(1, min(n - 1, n_val))
     perm = np.random.default_rng(seed).permutation(n)
-    val_idx = np.sort(perm[:n_val])
-    train_idx = np.sort(perm[n_val:])
-    return dataset.take(train_idx), dataset.take(val_idx)
+    return np.sort(perm[n_val:]), np.sort(perm[:n_val])
 
 
 def eval_batch_rows(config: NetworkConfig) -> int:
@@ -207,47 +206,53 @@ def predict(params: NetworkParams, dataset: PreparedDataset) -> np.ndarray:
 
 
 def _eval_losses(
-    params: NetworkParams, dataset: PreparedDataset, labels: np.ndarray
-) -> dict[str, float]:
+    params: NetworkParams, dataset: PreparedDataset, labels: np.ndarray, *row_sets: np.ndarray
+) -> list[dict[str, float]]:
+    """Each row set's loss per head, from one scoring pass over ``dataset``."""
     probs = predict(params, dataset)
-    return {h: log_loss(labels[:, k], probs[:, k]) for k, h in enumerate(params.config.heads)}
+    heads = params.config.heads
+    return [{h: log_loss(labels[rows, k], probs[rows, k]) for k, h in enumerate(heads)}
+            for rows in row_sets]
 
 
 def _fit(
     params: NetworkParams,
-    train_ds: PreparedDataset,
+    dataset: PreparedDataset,
+    rows: np.ndarray,
     train_config: TrainConfig,
     max_epochs: int,
-    val_ds: PreparedDataset | None = None,
+    val_rows: np.ndarray | None = None,
     monitors: dict[str, EarlyStopMonitor] | None = None,
 ) -> TrainingHistory:
-    """The epoch loop of both entry points; trains ``params`` in place.
+    """The epoch loop of both entry points; trains ``params`` in place on the
+    rows of ``dataset`` at the index array ``rows``.
 
-    Batch order is reshuffled every epoch from the training seed. Without
-    ``monitors`` the loop runs ``max_epochs`` epochs and evaluates nothing.
-    Otherwise, after each epoch the train and validation losses are
-    evaluated and each running monitor observes its head's validation loss:
-    a new minimum saves the monitor's blocks; a monitor whose patience runs
-    out restores them and freezes its head. The loop ends when every monitor
-    has stopped, at ``max_epochs``, or on a non-finite gradient or loss
-    (``history.diverged``); every monitor still running then restores its
-    blocks.
+    Batch order is reshuffled every epoch from the training seed, and each
+    batch is taken from ``dataset`` at its indices, so no other subset of the
+    dataset is ever copied. Without ``monitors`` the loop runs ``max_epochs``
+    epochs and evaluates nothing. Otherwise, after each epoch the whole
+    dataset is scored once, the train and validation losses are read from
+    that pass at ``rows`` and ``val_rows``, and each running monitor observes
+    its head's validation loss: a new minimum saves the monitor's blocks; a
+    monitor whose patience runs out restores them and freezes its head. The
+    loop ends when every monitor has stopped, at ``max_epochs``, or on a
+    non-finite gradient or loss (``history.diverged``); every monitor still
+    running then restores its blocks.
     """
     heads = params.config.heads
     monitors = monitors or {}
-    y_train = train_ds.label_matrix(heads)
-    y_val = val_ds.label_matrix(heads) if monitors else None
+    labels = dataset.label_matrix(heads)
     opt = OptimizerState.create(train_config.optimizer, train_config.learning_rate, params)
     shuffle_rng = np.random.default_rng(np.random.SeedSequence([train_config.seed, 1]))
     history = TrainingHistory(heads=heads, monitor_head=train_config.monitor_head)
 
     for epoch in range(1, max_epochs + 1):
         frozen = frozenset(h for h, m in monitors.items() if m.stopped)
-        order = shuffle_rng.permutation(train_ds.n_rows)
+        order = shuffle_rng.permutation(rows.size)
         try:
-            for start in range(0, train_ds.n_rows, train_config.batch_size):
-                idx = order[start : start + train_config.batch_size]
-                grads = backward(params, train_ds.take(idx), y_train[idx], frozen_heads=frozen)
+            for start in range(0, rows.size, train_config.batch_size):
+                idx = rows[order[start : start + train_config.batch_size]]
+                grads = backward(params, dataset.take(idx), labels[idx], frozen_heads=frozen)
                 optimizer_step(opt, params, grads)
                 del grads  # not alive through the next backward
         except NonFiniteGradientError as exc:
@@ -258,8 +263,7 @@ def _fit(
         if not monitors:
             continue
 
-        train_loss = _eval_losses(params, train_ds, y_train)
-        val_loss = _eval_losses(params, val_ds, y_val)
+        train_loss, val_loss = _eval_losses(params, dataset, labels, rows, val_rows)
         record = EpochRecord(epoch, train_loss, val_loss)
         history.epochs.append(record)
         if not np.all(np.isfinite([*train_loss.values(), *val_loss.values()])):
@@ -317,7 +321,7 @@ def train_with_early_stopping(
         raise ValueError(
             f"monitor head {train_config.monitor_head!r} not among heads {net_config.heads}"
         )
-    train_ds, val_ds = split_train_val(dataset, train_config.seed, train_config.val_fraction)
+    rows, val_rows = split_train_val(dataset, train_config.seed, train_config.val_fraction)
     params = init_network(net_config)
     per_head = train_config.monitor_mode == "per_head"
     owners = (
@@ -329,7 +333,8 @@ def train_with_early_stopping(
         h: EarlyStopMonitor(train_config.patience, {n: params.blocks[n].copy() for n in names})
         for h, names in owners.items()
     }
-    history = _fit(params, train_ds, train_config, train_config.max_epochs, val_ds, monitors)
+    history = _fit(params, dataset, rows, train_config, train_config.max_epochs, val_rows,
+                   monitors)
     history.best_epoch = monitors[train_config.monitor_head].best_epoch
     if per_head:
         history.per_head_best = {h: m.best_epoch for h, m in monitors.items()}
@@ -352,4 +357,4 @@ def retrain_full(
     if epoch_count < 1:
         raise ValueError("epoch_count must be >= 1")
     params = init_network(net_config)
-    return params, _fit(params, dataset, train_config, epoch_count)
+    return params, _fit(params, dataset, np.arange(dataset.n_rows), train_config, epoch_count)

@@ -10,7 +10,6 @@ from adinstall.prep import PreparedDataset
 def make_batch(rng: np.random.Generator, cfg: NetworkConfig, n: int) -> PreparedDataset:
     """Random model-ready batch matching a network config, labels included."""
     return PreparedDataset(
-        source_row_ids=tuple(str(i) for i in range(n)),
         cat_names=cfg.cat_columns,
         cat_codes=np.column_stack(
             [rng.integers(0, v + 1, n) for v in cfg.vocab_sizes]

@@ -227,7 +227,9 @@ def test_criterion_5_end_to_end_learning(synth_run):
 
     history = synth_run["history"]
     params = synth_run["params"]
-    _, val = split_train_val(synth_run["dataset"], TRAIN_CONFIG.seed, TRAIN_CONFIG.val_fraction)
+    dataset = synth_run["dataset"]
+    _, val_rows = split_train_val(dataset, TRAIN_CONFIG.seed, TRAIN_CONFIG.val_fraction)
+    val = dataset.take(val_rows)
     probs = predict(params, val)[:, 0]
     y = val.label_matrix(("is_installed",))[:, 0]
     rep = report(y, probs, threshold=0.5)
@@ -257,7 +259,8 @@ def test_criterion_6_early_stopping_protocol(synth_run):
     dataset = synth_run["dataset"]
 
     # restored parameters reproduce the recorded minimum monitored loss
-    _, val = split_train_val(dataset, TRAIN_CONFIG.seed, TRAIN_CONFIG.val_fraction)
+    _, val_rows = split_train_val(dataset, TRAIN_CONFIG.seed, TRAIN_CONFIG.val_fraction)
+    val = dataset.take(val_rows)
     probs = predict(params, val)
     re_evaluated = log_loss(val.label_matrix(("is_installed",))[:, 0], probs[:, 0])
     assert abs(re_evaluated - history.best_val_loss()) < 1e-12
@@ -385,7 +388,8 @@ def test_criterion_9_challenge_targets():
     )
     cfg = TrainConfig(seed=0)
     params, history = train_with_early_stopping(dataset, net, cfg)
-    _, val = split_train_val(dataset, cfg.seed, cfg.val_fraction)
+    _, val_rows = split_train_val(dataset, cfg.seed, cfg.val_fraction)
+    val = dataset.take(val_rows)
     probs = predict(params, val)[:, 0]
     rep = report(val.label_matrix(("is_installed",))[:, 0], probs)
 

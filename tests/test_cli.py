@@ -185,7 +185,7 @@ def test_split_evaluate_scores_each_row_set_once(workspace, capsys, monkeypatch)
                             "--out-dir", out, "--split-eval", "true")
     assert code == 0, err
     assert "Output 'is_clicked'" in stdout and "Output 'is_installed'" in stdout
-    assert sorted(calls) == [175, 525]  # the validation and training rows, once each
+    assert calls == [700]  # the file, scored once for both row sets
 
 
 def test_missing_schema_is_usage_error(tmp_path, capsys):

@@ -140,7 +140,6 @@ def test_hand_computed_tiny_network():
     expected = 1.0 / (1.0 + math.exp(-(float(hidden @ w2) + b2)))
 
     batch = PreparedDataset(
-        source_row_ids=("0",),
         cat_names=(),
         cat_codes=np.zeros((1, 0), dtype=np.int64),
         bin_names=(),
@@ -180,7 +179,6 @@ def test_out_of_range_code_rejected(rng):
     bad = batch.cat_codes.copy()
     bad[0, 0] = cfg.vocab_sizes[0] + 1
     broken = PreparedDataset(
-        source_row_ids=batch.row_ids,
         cat_names=batch.cat_names,
         cat_codes=bad,
         bin_names=batch.bin_names,
@@ -230,7 +228,6 @@ def test_one_head_two_head_consistency(rng):
     p_one, p_two = init_network(one), init_network(two)
     batch = make_batch(np.random.default_rng(5), one, 13)
     two_batch = PreparedDataset(
-        source_row_ids=batch.row_ids,
         cat_names=batch.cat_names,
         cat_codes=batch.cat_codes,
         bin_names=batch.bin_names,
