@@ -12,7 +12,9 @@ seed, pair ``i`` runs ``perfbench/run.py --trace 0`` once in each tree, the
 parent first in even pairs and the change first in odd ones. The output
 records the machine, every run's metric values and ``correct`` flag, and per
 metric both sides' medians and IQRs, the change's wins, and whether the
-change's median is within the metric's bound from ``BENCHMARK.json``.
+change's median is within the metric's bound from ``BENCHMARK.json``. A
+metric is unresolved when either side's IQR, relative to the parent's median,
+is wider than its bound, unless every change run beats every parent run.
 An existing output file for the same two commits is added to, so runs with
 other workloads, seeds or pair counts land in one file. ``peak_rss_mb``
 follows the heap layout a run happens to get, so read it over more than one
@@ -93,6 +95,8 @@ def summarize(runs: dict[str, list[dict]], spec: dict) -> dict:
     parent, change = [p for p, _ in pairs], [c for _, c in pairs]
     pm, cm = statistics.median(parent), statistics.median(change)
     worse = ((cm - pm) if lower else (pm - cm)) / abs(pm) if pm else 0.0
+    spread = max(iqr(parent), iqr(change)) / abs(pm) if pm else 0.0
+    separated = max(change) < min(parent) if lower else min(change) > max(parent)
     out.update({
         "parent_median": pm, "parent_iqr": iqr(parent),
         "change_median": cm, "change_iqr": iqr(change),
@@ -100,6 +104,7 @@ def summarize(runs: dict[str, list[dict]], spec: dict) -> dict:
         "ties": sum(c == p for p, c in pairs),
         "relative_worsening_of_median": worse,
         "within_bound": worse <= spec["bound"],
+        "unresolved": spread > spec["bound"] and not separated,
     })
     return out
 

@@ -16,7 +16,7 @@ from .errors import (
     PipelineMismatchError,
     SchemaError,
 )
-from .ingest import RawTable, detect_constant_features, drop_columns, load_table, write_table
+from .ingest import RawTable, detect_constant_features, load_table, write_table
 from .metrics import ConfusionMatrix, MetricsReport, confusion, log_loss, nir, report
 from .network import (
     NetworkConfig,

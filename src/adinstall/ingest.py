@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write
-from .errors import DataFormatError, SchemaError
+from .errors import DataFormatError
 from .schema import FEATURE_ROLES, FeatureSchema
 
 
@@ -337,51 +337,6 @@ def detect_constant_features(table: RawTable) -> list[str]:
         if np.unique(observed).size <= 1:
             constant.append(name)
     return constant
-
-
-def drop_columns(
-    table: RawTable, names: list[str] | tuple[str, ...], *, missing_ok: bool = False
-) -> RawTable:
-    """Table without the given feature columns.
-
-    Only categorical/binary/numerical columns can be dropped; label, row_id,
-    and ignore columns raise. With ``missing_ok`` names already absent are
-    skipped, which makes repeated drops of the same list a no-op.
-    """
-    present = set(table.schema.names())
-    todo = []
-    for name in names:
-        if name not in present:
-            if missing_ok:
-                continue
-            raise SchemaError(f"cannot drop unknown column {name!r}")
-        if table.schema.role_of(name) not in FEATURE_ROLES:
-            raise SchemaError(
-                f"cannot drop column {name!r} with role {table.schema.role_of(name)!r}"
-            )
-        todo.append(name)
-    if not todo:
-        return table
-
-    todo_set = set(todo)
-    cat_keep = [j for j, n in enumerate(table.cat_names) if n not in todo_set]
-    bin_keep = [j for j, n in enumerate(table.bin_names) if n not in todo_set]
-    num_keep = [j for j, n in enumerate(table.num_names) if n not in todo_set]
-    return RawTable(
-        schema=table.schema.drop(todo),
-        n_rows=table.n_rows,
-        row_ids=table.row_ids,
-        cat_names=tuple(table.cat_names[j] for j in cat_keep),
-        cat_tokens=table.cat_tokens[:, cat_keep].copy(),
-        cat_missing=table.cat_missing[:, cat_keep].copy(),
-        bin_names=tuple(table.bin_names[j] for j in bin_keep),
-        binary=table.binary[:, bin_keep].copy(),
-        num_names=tuple(table.num_names[j] for j in num_keep),
-        numeric=table.numeric[:, num_keep].copy(),
-        label_names=table.label_names,
-        labels=table.labels,
-        parse_warnings=dict(table.parse_warnings),
-    )
 
 
 def write_table(table: RawTable, path: str | Path) -> None:

@@ -400,10 +400,11 @@ def _trunk_input(
         lo += m
     bw = config.binary_width
     dense = np.empty((batch.n_rows, bw + config.numerical_width), dtype)
-    binary = batch.binary.astype(dtype, copy=False)
-    numeric = batch.numeric.astype(dtype, copy=False)
-    np.maximum(binary @ b["bin.w"] + b["bin.b"], 0.0, out=dense[:, :bw])
-    np.maximum(numeric @ b["num.w"] + b["num.b"], 0.0, out=dense[:, bw:])
+    np.matmul(batch.binary.astype(dtype, copy=False), b["bin.w"], out=dense[:, :bw])
+    np.matmul(batch.numeric.astype(dtype, copy=False), b["num.w"], out=dense[:, bw:])
+    dense[:, :bw] += b["bin.b"]
+    dense[:, bw:] += b["num.b"]
+    np.maximum(dense, 0.0, out=dense)
     return _Inputs(dense, lookups)
 
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from .atomic import write_text
 from .errors import ArtifactError, DataFormatError, PipelineMismatchError
-from .ingest import RawTable, detect_constant_features, drop_columns
+from .ingest import RawTable, detect_constant_features
 from .schema import FeatureSchema
 
 PIPELINE_FORMAT = "adinstall-pipeline"
@@ -166,6 +166,14 @@ def _fit_regression(work: np.ndarray, target_j: int, rows: np.ndarray) -> Column
     return ColumnRegression(intercept=float(beta[0]), coef=tuple(float(b) for b in beta[1:]))
 
 
+def _predict(
+    reg: ColumnRegression, work: np.ndarray, rows: np.ndarray, j: int, lo: float, hi: float
+) -> np.ndarray:
+    """``intercept + work[rows, others] @ coef`` for column ``j``, clipped to ``[lo, hi]``."""
+    others = [k for k in range(work.shape[1]) if k != j]
+    return np.clip(reg.intercept + work[np.ix_(rows, others)] @ np.asarray(reg.coef), lo, hi)
+
+
 def fit_imputer(
     matrix: np.ndarray,
     columns: tuple[str, ...],
@@ -225,11 +233,7 @@ def fit_imputer(
                 model = _fit_regression(work, j, rows)
                 if model is None:
                     continue  # underdetermined this pass; seed values stand
-                others = [k for k in range(len(columns)) if k != j]
-                pred = model.intercept + work[np.ix_(missing[:, j], others)] @ np.asarray(
-                    model.coef
-                )
-                pred = np.clip(pred, mins[columns[j]], maxs[columns[j]])
+                pred = _predict(model, work, missing[:, j], j, mins[columns[j]], maxs[columns[j]])
                 delta = np.abs(pred - work[missing[:, j], j])
                 if delta.size:
                     pass_change = max(pass_change, float(delta.max()))
@@ -264,11 +268,13 @@ def fit_imputer(
 
 
 def impute(model: ImputerModel, matrix: np.ndarray) -> np.ndarray:
-    """Complete ``matrix`` (NaN marks missing); observed cells pass unchanged.
+    """A completed copy of ``matrix`` (NaN marks missing); observed cells pass unchanged.
 
-    The iterative strategy predicts each missing cell from the row's other
-    cells, seeding any of those that are themselves missing with the column
-    means; mean/median/zero substitute the stored per-column statistic.
+    Every missing cell is first seeded with its column's ``fallback``, which
+    is the whole rule for mean, median and zero. A column with a regression
+    (the iterative strategy) then replaces its missing cells by predictions
+    from the row's seeded cells; all predictions are computed before any is
+    written, so none reads another's output.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[1] != len(model.columns):
@@ -276,30 +282,19 @@ def impute(model: ImputerModel, matrix: np.ndarray) -> np.ndarray:
             f"imputer was fitted on {len(model.columns)} columns, got {matrix.shape[1]}"
         )
     missing = np.isnan(matrix)
-    out = matrix.copy()
-    if not missing.any():
-        return out
-
-    if model.strategy != "iterative":
-        for j, name in enumerate(model.columns):
-            out[missing[:, j], j] = model.fallback[name]
-        return out
-
-    seeded = matrix.copy()
+    work = matrix.copy()
     for j, name in enumerate(model.columns):
-        seeded[missing[:, j], j] = model.fallback[name]
+        work[missing[:, j], j] = model.fallback[name]
+    predicted = []
     for j, name in enumerate(model.columns):
         rows = missing[:, j]
-        if not rows.any():
-            continue
         reg = model.models.get(name)
-        if reg is None:
-            out[rows, j] = model.fallback[name]
-            continue
-        others = [k for k in range(len(model.columns)) if k != j]
-        pred = reg.intercept + seeded[np.ix_(rows, others)] @ np.asarray(reg.coef)
-        out[rows, j] = np.clip(pred, model.observed_min[name], model.observed_max[name])
-    return out
+        if reg is not None and rows.any():
+            lo, hi = model.observed_min[name], model.observed_max[name]
+            predicted.append((rows, j, _predict(reg, work, rows, j, lo, hi)))
+    for rows, j, pred in predicted:
+        work[rows, j] = pred
+    return work
 
 
 # ---------------------------------------------------------------------------
@@ -390,19 +385,14 @@ class PrepPipeline:
 
     def transform(self, table: RawTable) -> PreparedDataset:
         """Apply drop, encode, impute, and scale; labels copy through if present."""
-        table = drop_columns(table, self.dropped, missing_ok=True)
-        if table.cat_names != self.cat_names:
-            raise PipelineMismatchError(
-                f"categorical columns {table.cat_names} != fitted {self.cat_names}"
-            )
-        if table.bin_names != self.bin_names:
-            raise PipelineMismatchError(
-                f"binary columns {table.bin_names} != fitted {self.bin_names}"
-            )
-        if table.num_names != self.num_names:
-            raise PipelineMismatchError(
-                f"numerical columns {table.num_names} != fitted {self.num_names}"
-            )
+        for role, names, fitted in (
+            ("categorical", table.cat_names, self.cat_names),
+            ("binary", table.bin_names, self.bin_names),
+            ("numerical", table.num_names, self.num_names),
+        ):
+            kept = tuple(name for name in names if name not in self.dropped)
+            if kept != fitted:
+                raise PipelineMismatchError(f"{role} columns {kept} != fitted {fitted}")
 
         n = table.n_rows
         codes = np.zeros((n, len(self.cat_names)), dtype=np.int64)
@@ -413,17 +403,16 @@ class PrepPipeline:
             if count:
                 unseen[name] = count
 
-        binary = table.binary.astype(np.float64)
+        binary = _kept(table.binary, table.bin_names, self.bin_names).astype(np.float64)
         for j, name in enumerate(self.bin_names):
             # only reachable for hand-built tables; parsed binaries are complete
             col = binary[:, j]
             col[np.isnan(col)] = float(self.binary_fill[name])
 
         if self.num_names:
-            completed = impute(self.imputer, table.numeric)
-            numeric = np.empty_like(completed)
+            numeric = impute(self.imputer, _kept(table.numeric, table.num_names, self.num_names))
             for j, name in enumerate(self.num_names):
-                numeric[:, j] = apply_minmax(self.scalers[name], completed[:, j])
+                numeric[:, j] = apply_minmax(self.scalers[name], numeric[:, j])
         else:
             numeric = np.zeros((n, 0), dtype=np.float64)
 
@@ -443,6 +432,14 @@ class PrepPipeline:
         return prepared
 
 
+def _kept(block: np.ndarray, names: tuple[str, ...], kept: tuple[str, ...]) -> np.ndarray:
+    """The columns ``kept`` of a block whose columns are ``names``; the block
+    itself when none was dropped."""
+    if names == kept:
+        return block
+    return block[:, [names.index(name) for name in kept]]
+
+
 def _check_prepared(ds: PreparedDataset, pipeline: PrepPipeline) -> None:
     if np.isnan(ds.numeric).any() or np.isnan(ds.binary).any():
         raise PipelineMismatchError("prepared dataset still contains missing cells")
@@ -459,43 +456,45 @@ def fit_pipeline(train: RawTable, config: PrepConfig | None = None) -> PrepPipel
     """Fit drop list, vocabularies, imputer, scalers, and binary fill values."""
     config = config or PrepConfig()
     constant = detect_constant_features(train)
-    table = drop_columns(train, constant)
+    kept = train.schema.drop(constant)
 
     missing_counts: dict[str, int] = {}
     vocabs: dict[str, Vocabulary] = {}
-    for name in table.cat_names:
-        raw, miss = table.cat_column(name)
+    for name in kept.names_with_role("categorical"):
+        raw, miss = train.cat_column(name)
         vocabs[name] = fit_vocabulary(name, raw, miss)
         if int(miss.sum()):
             missing_counts[name] = int(miss.sum())
 
     imputer = None
     scalers: dict[str, ScalerParams] = {}
-    if table.num_names:
-        for j, name in enumerate(table.num_names):
-            count = int(np.isnan(table.numeric[:, j]).sum())
+    num_names = kept.names_with_role("numerical")
+    if num_names:
+        numeric = _kept(train.numeric, train.num_names, num_names)
+        for j, name in enumerate(num_names):
+            count = int(np.isnan(numeric[:, j]).sum())
             if count:
                 missing_counts[name] = count
-        if config.impute_strategy == "iterative" and len(table.num_names) < 2:
+        if config.impute_strategy == "iterative" and len(num_names) < 2:
             raise ValueError(
                 "iterative imputation needs at least 2 numerical columns; "
                 "pick mean, median, or zero"
             )
         imputer = fit_imputer(
-            table.numeric,
-            table.num_names,
+            numeric,
+            num_names,
             strategy=config.impute_strategy,
             iteration_count=config.imputer_iterations,
             tolerance=config.imputer_tolerance,
         )
-        completed = impute(imputer, table.numeric)
-        for j, name in enumerate(table.num_names):
+        completed = impute(imputer, numeric)
+        for j, name in enumerate(num_names):
             scalers[name] = fit_minmax(name, completed[:, j])
 
     binary_fill: dict[str, int] = {}
-    for j, name in enumerate(table.bin_names):
-        ones = int(table.binary[:, j].sum())
-        binary_fill[name] = 1 if ones * 2 > table.n_rows else 0
+    for name in kept.names_with_role("binary"):
+        ones = int(train.bin_column(name).sum())
+        binary_fill[name] = 1 if ones * 2 > train.n_rows else 0
 
     return PrepPipeline(
         schema=train.schema,

@@ -36,3 +36,21 @@ def test_summary_leaves_out_a_pair_with_a_failed_run():
     assert s["change"] == [8.0, None, 7.0]
     assert s["change_median"] == 7.5 and s["change_wins"] == 0
     assert s["relative_worsening_of_median"] == pytest.approx(0.25) and s["within_bound"]
+
+
+@pytest.mark.parametrize("better", ["higher", "lower"])
+def test_summary_marks_a_spread_wider_than_the_bound_unresolved(better):
+    spec = {"name": "m", "unit": "s", "better": better, "bound": 0.25}
+    narrow, wide = [10.0, 10.0, 10.5, 11.0, 11.0], [7.0, 8.0, 10.5, 13.0, 14.0]
+    # IQRs 1.0 and 5.0 against a parent median of 10.5: 9.5 % and 47.6 %
+    assert not pairs.summarize({"parent": runs(narrow), "change": runs(narrow)},
+                               spec)["unresolved"]
+    assert pairs.summarize({"parent": runs(narrow), "change": runs(wide)}, spec)["unresolved"]
+    assert pairs.summarize({"parent": runs(wide), "change": runs(narrow)}, spec)["unresolved"]
+    # a wide change that beats every parent run is resolved; one that loses to all is not
+    up, down = [v + 20.0 for v in wide], [v - 6.9 for v in wide]
+    beats, loses = (up, down) if better == "higher" else (down, up)
+    s = pairs.summarize({"parent": runs(narrow), "change": runs(beats)}, spec)
+    assert s["change_wins"] == 5 and not s["unresolved"]
+    s = pairs.summarize({"parent": runs(narrow), "change": runs(loses)}, spec)
+    assert s["change_wins"] == 0 and s["unresolved"]

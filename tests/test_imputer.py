@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adinstall.errors import PipelineMismatchError
-from adinstall.prep import fit_imputer, impute
+from adinstall.prep import ColumnRegression, ImputerModel, fit_imputer, impute
 
 COLS3 = ("a", "b", "c")
 
@@ -76,6 +78,59 @@ def test_complete_matrix_passes_through():
     mat = nanmat([[1.0, 2.0], [3.0, 4.0]])
     model = fit_imputer(mat, ("a", "b"), strategy="iterative")
     assert np.array_equal(impute(model, mat), mat)
+
+
+@st.composite
+def imputation_cases(draw):
+    """A matrix with gaps (rows may miss several cells) and a hand-built model
+    in which some columns of the iterative strategy have no regression."""
+    n, k = draw(st.integers(1, 12)), draw(st.integers(2, 5))
+    quarters = st.integers(-40, 40).map(lambda v: v * 0.25)
+    matrix = np.array(draw(st.lists(quarters, min_size=n * k, max_size=n * k))).reshape(n, k)
+    holes = np.array(draw(st.lists(st.booleans(), min_size=n * k, max_size=n * k))).reshape(n, k)
+    matrix[holes] = np.nan
+    columns = tuple(f"c{j}" for j in range(k))
+    strategy = draw(st.sampled_from(("mean", "median", "zero", "iterative")))
+    models = {}
+    if strategy == "iterative":
+        for name in columns:
+            if draw(st.booleans()):
+                coef = tuple(draw(st.lists(quarters, min_size=k - 1, max_size=k - 1)))
+                models[name] = ColumnRegression(draw(quarters), coef)
+    model = ImputerModel(
+        strategy=strategy,
+        columns=columns,
+        fallback={c: draw(quarters) for c in columns},
+        observed_min={c: -6.0 for c in columns},
+        observed_max={c: 6.0 for c in columns},
+        models=models,
+    )
+    return model, matrix
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=imputation_cases())
+def test_missing_cells_follow_the_fallback_or_the_seeded_row(case):
+    model, matrix = case
+    before = matrix.copy()
+    missing = np.isnan(matrix)
+    out = impute(model, matrix)
+    assert np.array_equal(matrix, before, equal_nan=True)
+    assert np.array_equal(out[~missing], matrix[~missing])
+
+    seeded = matrix.copy()
+    for j, name in enumerate(model.columns):
+        seeded[missing[:, j], j] = model.fallback[name]
+    for i, j in zip(*np.nonzero(missing)):
+        name = model.columns[j]
+        reg = model.models.get(name)
+        if reg is None:
+            assert out[i, j] == model.fallback[name]
+        else:
+            others = [c for c in range(len(model.columns)) if c != j]
+            value = reg.intercept + seeded[i, others] @ np.asarray(reg.coef)
+            expected = min(max(value, model.observed_min[name]), model.observed_max[name])
+            assert out[i, j] == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

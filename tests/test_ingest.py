@@ -3,8 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from adinstall.errors import DataFormatError, SchemaError
-from adinstall.ingest import detect_constant_features, drop_columns, load_table, write_table
+from adinstall.errors import DataFormatError
+from adinstall.ingest import detect_constant_features, load_table, write_table
 from adinstall.schema import FeatureSchema
 
 
@@ -108,31 +108,6 @@ def test_detect_constant_features(tmp_path):
 def test_detect_constant_not_fooled_by_variation(tmp_path):
     path = write_data(tmp_path, ["1\t3\t0\t1.0\t0", "2\t4\t1\t2.0\t1"])
     assert detect_constant_features(load_table(path, SCHEMA)) == []
-
-
-def test_drop_columns(tmp_path):
-    path = write_data(tmp_path, ["1\t3\t0\t1.5\t0", "2\t4\t1\t2.0\t1"])
-    t = load_table(path, SCHEMA)
-    dropped = drop_columns(t, ["f_2"])
-    assert dropped.cat_names == ()
-    assert dropped.n_rows == t.n_rows
-    assert "f_2" not in dropped.schema.names()
-    # identity when nothing to drop
-    same = drop_columns(t, [])
-    assert same.schema == t.schema
-    # repeated drop is a no-op under missing_ok
-    again = drop_columns(dropped, ["f_2"], missing_ok=True)
-    assert again.schema == dropped.schema
-    assert np.array_equal(again.numeric, dropped.numeric)
-
-
-def test_drop_label_guarded(tmp_path):
-    path = write_data(tmp_path, ["1\t3\t0\t1.5\t0"])
-    t = load_table(path, SCHEMA)
-    with pytest.raises(SchemaError, match="role"):
-        drop_columns(t, ["is_installed"])
-    with pytest.raises(SchemaError, match="unknown"):
-        drop_columns(t, ["nope"])
 
 
 def test_write_load_round_trip_bit_exact(tmp_path, rng):

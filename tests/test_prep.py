@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from adinstall.prep import (
     save_pipeline,
 )
 from adinstall.schema import FeatureSchema
+from adinstall.synth import SynthSpec, generate
 
 # ---------------------------------------------------------------------------
 # vocabulary
@@ -263,3 +266,19 @@ def test_iterative_pipeline_requires_two_numericals(tmp_path):
     path.write_text("f_0\tf_2\tx\tl\n1\t3\t1.0\t0\n2\t4\t2.0\t1\n")
     with pytest.raises(ValueError, match="at least 2 numerical"):
         fit_pipeline(load_table(path, schema), PrepConfig(impute_strategy="iterative"))
+
+
+@pytest.mark.parametrize("n_numerical", [5, 12])
+def test_transform_makes_no_second_copy_of_the_numerical_block(n_numerical):
+    # synth tables carry a constant categorical column, which the pipeline drops
+    table = generate(SynthSpec(n_rows=4_000, n_numerical=n_numerical, seed=3)).train
+    pipeline = fit_pipeline(table)
+    assert pipeline.dropped
+    tracemalloc.start()
+    try:
+        ds = pipeline.transform(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out_bytes = sum(a.nbytes for a in (ds.cat_codes, ds.binary, ds.numeric, ds.labels))
+    assert peak - out_bytes < table.numeric.nbytes
